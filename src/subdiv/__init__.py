@@ -50,6 +50,7 @@ from .refine import (
     make_state,
     pl_eval,
     pl_function,
+    pl_gap,
     refine_once,
 )
 from .schemes import (

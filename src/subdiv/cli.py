@@ -56,10 +56,13 @@ def _num_threads() -> int:
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise InvalidParameter(f"--k-range must look like A:B, got {text!r}")
-    return int(lo), int(hi)
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must look like A:B with integer levels A and B, got {text!r}"
+        ) from None
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
@@ -302,7 +305,7 @@ def cmd_figure(args) -> int:
     try:
         for step in range(1, max(FIGURE2_ITERATIONS) + 1):
             nxt = refine.refine_once(s, scheme)
-            gaps.append(refine._pl_gap(s.window, nxt.window))
+            gaps.append(refine.pl_gap(s.window, nxt.window))
             s = nxt
             if step in FIGURE2_ITERATIONS:
                 traces[step] = s

@@ -30,6 +30,16 @@ class Window:
         arr.setflags(write=False)
         self.values = arr
 
+    @classmethod
+    def _adopt(cls, start: int, arr: np.ndarray) -> "Window":
+        """Wrap a 1-D float array that the caller has just computed and holds
+        no other reference to, without copying it."""
+        w = object.__new__(cls)
+        w.start = start
+        arr.setflags(write=False)
+        w.values = arr
+        return w
+
     @property
     def stop(self) -> int:
         """Exclusive upper index."""
@@ -49,7 +59,7 @@ class Window:
 
     def diff(self) -> "Window":
         """Backward differences; defined one index later than the values."""
-        return Window(self.start + 1, np.diff(self.values))
+        return Window._adopt(self.start + 1, np.diff(self.values))
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
@@ -87,6 +97,7 @@ def apply(m: Mask, f: Window, arity: int = 2) -> Window:
     up = np.zeros(arity * (len(f) - 1) + 1)
     up[::arity] = f.values
     conv = np.convolve(up, np.asarray(m.coeffs))
+    del up
     # conv[p] holds the value at absolute index arity*lo + mb + p.
     src_lo = len(m) - arity
     if src_lo >= 0:
@@ -96,7 +107,7 @@ def apply(m: Mask, f: Window, arity: int = 2) -> Window:
         # empty stencil and are zero.
         out = np.zeros(n_out)
         out[-src_lo : -src_lo + len(conv)] = conv
-    return Window(out_lo, out)
+    return Window._adopt(out_lo, out)
 
 
 @dataclass(frozen=True, eq=False)

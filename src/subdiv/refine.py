@@ -88,7 +88,8 @@ def refine_once(state: RefinementState, scheme: SchemeSpec) -> RefinementState:
             if lo < hi:
                 a = via_rule.values[lo - via_rule.start : hi - via_rule.start]
                 b = new_deltas.values[lo - new_deltas.start : hi - new_deltas.start]
-                err = float(np.max(np.abs(a - b))) if len(a) else 0.0
+                dev = np.subtract(a, b)
+                err = float(np.abs(dev, out=dev).max())
                 if err > _COMMUTE_TOL:
                     raise RuntimeError(
                         f"difference rule disagrees with refined differences "
@@ -133,31 +134,38 @@ def pl_eval(f: PLFunction, x: float) -> float:
     return float((1.0 - frac) * v[i - start] + frac * v[i - start + 1])
 
 
-def _pl_gap(coarse: Window, fine: Window) -> float:
+def pl_gap(coarse: Window, fine: Window) -> float:
     """Sup distance between the interpolants of consecutive levels.
 
-    Both are piecewise linear with nested breakpoints, so the maximum of
-    their difference is attained at the finer grid's breakpoints; those are
-    evaluated exactly (grid values on the fine side, midpoint averages on
-    the coarse side).  Restricted to the common x-span.
+    ``coarse`` sits on the grid 2**-k * Z and ``fine`` on 2**-(k+1) * Z.
+    Both interpolants are piecewise linear and the fine breakpoints contain
+    the coarse ones, so the sup over the common x-span is attained at a fine
+    breakpoint: fine index 2j is compared with coarse point j, fine index
+    2j+1 with the midpoint of coarse points j and j+1.
     """
     lo = max(fine.start, 2 * coarse.start)
     hi = min(fine.stop - 1, 2 * (coarse.stop - 1))
     if lo > hi:
         return 0.0
-    idx = np.arange(lo, hi + 1)
-    fv = fine.values[lo - fine.start : hi - fine.start + 1]
-    cv = coarse.values
-    left = cv[(idx - 1) // 2 - coarse.start]
-    right = cv[(idx + 1) // 2 - coarse.start]
-    coarse_at_fine = 0.5 * (left + right)  # even indices: both halves agree
-    return float(np.max(np.abs(fv - coarse_at_fine)))
+    c, stop = coarse.values, hi - fine.start + 1
+    # fine index 2j against coarse point j
+    fv = fine.values[lo + lo % 2 - fine.start : stop : 2]
+    j = (lo + 1) // 2 - coarse.start
+    dev = c[j : j + len(fv)] - fv
+    gap = np.abs(dev, out=dev).max(initial=0.0)
+    # fine index 2j+1 against the midpoint of coarse points j and j+1
+    fv = fine.values[lo + 1 - lo % 2 - fine.start : stop : 2]
+    j = lo // 2 - coarse.start
+    dev = c[j : j + len(fv)] + c[j + 1 : j + 1 + len(fv)]
+    dev *= 0.5
+    dev -= fv
+    return float(np.maximum(gap, np.abs(dev, out=dev).max(initial=0.0)))
 
 
 def cauchy_norm(scheme: SchemeSpec, state: RefinementState) -> float:
     """Sup distance between this level's interpolant and the next one's."""
     nxt = refine_once(state, scheme)
-    return _pl_gap(state.window, nxt.window)
+    return pl_gap(state.window, nxt.window)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,16 +245,15 @@ def decay_report(
     """
     if k_max < initial.level + 4:
         raise InvalidParameter("k_max must allow at least 4 levels")
-    states = [initial]
-    s = initial
-    while s.level <= k_max:
-        s = refine_once(s, scheme)
-        states.append(s)
     ks = tuple(range(initial.level, k_max + 1))
-    delta_norms = tuple(st.delta_sup() for st in states[: len(ks)])
-    cauchy_norms = tuple(
-        _pl_gap(states[i].window, states[i + 1].window) for i in range(len(ks))
-    )
+    delta_list, gap_list = [], []
+    s = initial
+    for _ in ks:
+        delta_list.append(s.delta_sup())
+        nxt = refine_once(s, scheme)
+        gap_list.append(pl_gap(s.window, nxt.window))
+        s = nxt
+    delta_norms, cauchy_norms = tuple(delta_list), tuple(gap_list)
     rho = _fit_rate(ks, cauchy_norms)
     rho_delta = _fit_rate(ks, delta_norms)
 
@@ -304,6 +311,6 @@ def limit_sample(
     if certificate is not None:
         bound = certificate.C * certificate.mu_hat ** depth * d0
     return LimitSample(
-        level=depth, xs=s.xs(), values=np.array(s.window.values),
+        level=depth, xs=s.xs(), values=s.window.values,
         error_bound=bound,
     )

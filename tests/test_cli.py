@@ -165,6 +165,14 @@ def test_bad_scheme_exit2(capsys):
     assert run(["analyze", "--scheme", "missing_file.json"]) == 2
 
 
+@pytest.mark.parametrize("k_range", ["5", "5:", "a:b"])
+def test_malformed_k_range_exit2(k_range, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--scheme", "chaikin", "--k-range", k_range])
+    assert exc.value.code == 2
+    assert "--k-range: must look like A:B" in capsys.readouterr().err
+
+
 def test_malformed_json_exit2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

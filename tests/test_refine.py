@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from subdiv import catalog
 from subdiv.errors import EmptyOutput, InvalidParameter, OutOfDomain
-from subdiv.masks import difference_mask
+from subdiv.masks import LINEAR_BSPLINE, Mask, difference_mask
 from subdiv.operators import Window, apply
 from subdiv.refine import (
+    PLFunction,
     cauchy_norm,
     constant,
     decay_report,
@@ -16,9 +18,10 @@ from subdiv.refine import (
     make_state,
     pl_eval,
     pl_function,
+    pl_gap,
     refine_once,
 )
-from subdiv.schemes import certify_theorem4, table_scheme
+from subdiv.schemes import certify_theorem4, stationary_scheme, table_scheme
 
 from conftest import bspline2, random_cr_mask
 
@@ -90,22 +93,64 @@ def test_pl_eval():
         pl_eval(f, hi + 0.1)
 
 
+def brute_gap(level: int, coarse: Window, fine: Window) -> float:
+    """Oracle: evaluate both interpolants at every fine breakpoint of the
+    common span with pl_eval."""
+    f0, f1 = PLFunction(level, coarse), PLFunction(level + 1, fine)
+    lo = max(f0.domain()[0], f1.domain()[0])
+    hi = min(f0.domain()[1], f1.domain()[1])
+    scale = 2 ** (level + 1)
+    return max(
+        (abs(pl_eval(f1, i / scale) - pl_eval(f0, i / scale))
+         for i in range(math.ceil(lo * scale), math.floor(hi * scale) + 1)),
+        default=0.0,
+    )
+
+
 def test_cauchy_norm_chaikin_quarter():
     st = impulse(4)
     got = cauchy_norm(catalog.chaikin(), st)
-    # oracle: evaluate both interpolants at every fine breakpoint
     nxt = refine_once(st, catalog.chaikin())
-    f0, f1 = pl_function(st), pl_function(nxt)
-    lo = max(f0.domain()[0], f1.domain()[0])
-    hi = min(f0.domain()[1], f1.domain()[1])
-    best = 0.0
-    i = math.ceil(lo * 2)
-    while i <= math.floor(hi * 2):
-        x = i / 2.0
-        best = max(best, abs(pl_eval(f1, x) - pl_eval(f0, x)))
-        i += 1
-    assert got == pytest.approx(best, abs=1e-15)
+    assert got == brute_gap(0, st.window, nxt.window)
     assert got == pytest.approx(0.25, abs=1e-15)
+
+
+FOUR_POINT = stationary_scheme(
+    Mask(-3, (-1 / 16, 0.0, 9 / 16, 1.0, 9 / 16, 0.0, -1 / 16)), N=3, name="four_point"
+)
+
+
+@pytest.mark.parametrize(
+    "scheme, initial, first_gap",
+    [
+        (catalog.linear_bspline(), impulse(4), 0.0),
+        (FOUR_POINT, impulse(8), 1 / 16),
+        (catalog.derham_nonstationary(1.7, alpha=2.19), impulse(8, level=1), None),
+    ],
+    ids=["linear_bspline", "four_point", "derham_1.7_2.19"],
+)
+def test_pl_gap_matches_oracle(scheme, initial, first_gap):
+    st = initial
+    for _ in range(9):  # derham's ratio drops below 2 at level 8
+        nxt = refine_once(st, scheme)
+        assert pl_gap(st.window, nxt.window) == brute_gap(st.level, st.window, nxt.window)
+        st = nxt
+    rep = decay_report(scheme, initial, initial.level + 8)
+    if first_gap is not None:
+        assert rep.cauchy_norms[0] == first_gap
+    if first_gap == 0.0:
+        assert rep.cauchy_norms == (0.0,) * len(rep.ks)
+
+
+@pytest.mark.parametrize(
+    "coarse_start, fine_start", [(-7, -13), (-6, -13), (3, 5), (3, 8), (0, -4), (30, -13)]
+)
+def test_pl_gap_random_windows(rng, coarse_start, fine_start):
+    coarse = Window(coarse_start, rng.uniform(-1, 1, 21))
+    fine = Window(fine_start, rng.uniform(-1, 1, 38))
+    assert pl_gap(coarse, fine) == brute_gap(3, coarse, fine)
+    # refining by linear interpolation reproduces the interpolant exactly
+    assert pl_gap(coarse, apply(LINEAR_BSPLINE, coarse)) == 0.0
 
 
 def test_cauchy_norm_constant_data_zero():
@@ -151,6 +196,20 @@ def test_decay_report_bounds_with_certificate():
         assert b - g >= 0.0
     rows = rep.rows()
     assert rows[0][0] == 0 and rows[0][3] == rep.cauchy_bounds[0]
+
+
+def test_decay_report_peak_memory():
+    """Only the current and next state are held: the tracemalloc peak stays
+    within 6 final-window sizes (holding every level took 10)."""
+    scheme = catalog.derham_nonstationary(2.2, alpha=1.5)
+    final = limit_sample(scheme, impulse(8, level=1), 15).values
+    tracemalloc.start()
+    try:
+        decay_report(scheme, impulse(8, level=1), 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * final.nbytes
 
 
 def test_decay_report_needs_levels():

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyOutput, InvalidParameter, OutOfDomain
-from .masks import difference_mask, reproduces_constants
-from .operators import Window, apply
+from .errors import InvalidParameter, OutOfDomain
+from .masks import Mask, difference_mask, reproduces_constants
+from .operators import Window, apply, block_ranges
 from .schemes import ConvergenceCertificate, SchemeSpec
 
 # The two routes to the refined differences (difference of values vs the
@@ -22,11 +22,15 @@ _COMMUTE_TOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class RefinementState:
     """Values attached to the dyadic grid 2**-level * Z, on a finite valid
-    index interval, with cached backward differences."""
+    index interval."""
 
     level: int
     window: Window
-    deltas: Window
+
+    @property
+    def deltas(self) -> Window:
+        """Backward differences of the values."""
+        return self.window.diff()
 
     @property
     def grid_scale(self) -> float:
@@ -43,11 +47,17 @@ class RefinementState:
         )
 
     def delta_sup(self) -> float:
-        return self.deltas.sup()
+        """Sup-norm of the backward differences, one block at a time."""
+        v = self.window.values
+        top = 0.0
+        for a, b in block_ranges(1, len(v)):
+            d = np.subtract(v[a:b], v[a - 1 : b - 1])
+            top = np.maximum(top, np.abs(d, out=d).max())
+        return float(top)
 
 
 def make_state(window: Window, level: int = 0) -> RefinementState:
-    return RefinementState(level=level, window=window, deltas=window.diff())
+    return RefinementState(level=level, window=window)
 
 
 def impulse(halfwidth: int = 8, level: int = 0) -> RefinementState:
@@ -66,9 +76,10 @@ def constant(value: float = 1.0, halfwidth: int = 8, level: int = 0) -> Refineme
 def refine_once(state: RefinementState, scheme: SchemeSpec) -> RefinementState:
     """One refinement step: apply the level mask, move to the finer grid.
 
-    When the level mask reproduces constants, the refreshed differences are
-    cross-checked against the difference rule applied to the cached ones;
-    disagreement indicates an indexing bug and raises RuntimeError.
+    When the level mask reproduces constants, the differences of the new
+    values are cross-checked against the difference rule applied to the old
+    differences; disagreement indicates an indexing bug and raises
+    RuntimeError.
     """
     if state.level < scheme.k0:
         raise InvalidParameter(
@@ -76,26 +87,34 @@ def refine_once(state: RefinementState, scheme: SchemeSpec) -> RefinementState:
         )
     m = scheme.mask_at(state.level)
     new_window = apply(m, state.window)
-    new_deltas = new_window.diff()
-    if reproduces_constants(m) and len(state.deltas) > 0:
-        try:
-            via_rule = apply(difference_mask(m), state.deltas)
-        except EmptyOutput:
-            via_rule = None
-        if via_rule is not None:
-            lo = max(via_rule.start, new_deltas.start)
-            hi = min(via_rule.stop, new_deltas.stop)
-            if lo < hi:
-                a = via_rule.values[lo - via_rule.start : hi - via_rule.start]
-                b = new_deltas.values[lo - new_deltas.start : hi - new_deltas.start]
-                dev = np.subtract(a, b)
-                err = float(np.abs(dev, out=dev).max())
-                if err > _COMMUTE_TOL:
-                    raise RuntimeError(
-                        f"difference rule disagrees with refined differences "
-                        f"by {err!r} at level {state.level}"
-                    )
-    return RefinementState(state.level + 1, new_window, new_deltas)
+    if reproduces_constants(m):
+        _check_difference_rule(difference_mask(m), state, new_window)
+    return RefinementState(state.level + 1, new_window)
+
+
+def _check_difference_rule(q: Mask, state: RefinementState, new: Window) -> None:
+    """Compare ``apply(q, old differences)`` with the new differences at
+    every index where both are defined, one block of indices at a time."""
+    old = state.window
+    if len(old) < 2:
+        return
+    mb, mt = q.support  # type: ignore[misc]
+    # apply's valid range for the old differences, which sit on
+    # [old.start + 1, old.stop - 1]; the new ones start at new.start + 1.
+    lo = max(2 * old.start + mt + 1, new.start + 1)
+    hi = min(2 * old.stop + mb, new.stop)
+    err = 0.0
+    for a, b in block_ranges(lo, hi):
+        # the old differences j0..j1 are those whose stencil reaches [a, b)
+        j0, j1 = (a - mt + 1) // 2, (b - 1 - mb) // 2
+        via = apply(q, old.span(j0 - 1, j1 + 1).diff())
+        dev = via.span(a, b).values - new.span(a - 1, b).diff().values
+        err = np.maximum(err, np.abs(dev, out=dev).max())
+    if err > _COMMUTE_TOL:
+        raise RuntimeError(
+            f"difference rule disagrees with refined differences "
+            f"by {float(err)!r} at level {state.level}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +163,15 @@ def pl_gap(coarse: Window, fine: Window) -> float:
     2j+1 with the midpoint of coarse points j and j+1.
     """
     lo = max(fine.start, 2 * coarse.start)
-    hi = min(fine.stop - 1, 2 * (coarse.stop - 1))
-    if lo > hi:
-        return 0.0
+    hi = min(fine.stop, 2 * coarse.stop - 1)
+    gap = 0.0
+    for a, b in block_ranges(lo, hi):
+        gap = np.maximum(gap, _span_gap(coarse, fine, a, b - 1))
+    return float(gap)
+
+
+def _span_gap(coarse: Window, fine: Window, lo: int, hi: int) -> float:
+    """``pl_gap`` over the fine indices lo..hi, which both windows cover."""
     c, stop = coarse.values, hi - fine.start + 1
     # fine index 2j against coarse point j
     fv = fine.values[lo + lo % 2 - fine.start : stop : 2]
@@ -159,7 +184,7 @@ def pl_gap(coarse: Window, fine: Window) -> float:
     dev = c[j : j + len(fv)] + c[j + 1 : j + 1 + len(fv)]
     dev *= 0.5
     dev -= fv
-    return float(np.maximum(gap, np.abs(dev, out=dev).max(initial=0.0)))
+    return np.maximum(gap, np.abs(dev, out=dev).max(initial=0.0))
 
 
 def cauchy_norm(scheme: SchemeSpec, state: RefinementState) -> float:
@@ -222,6 +247,8 @@ def _fit_rate(ks: tuple[int, ...], vals: tuple[float, ...]) -> float | None:
     """Least-squares per-level decay factor over the last half of levels
     (the early levels carry the pre-asymptotic transient)."""
     half = len(ks) // 2
+    if all(v == 0.0 for v in vals[half:]):
+        return 0.0
     pts = [(k, v) for k, v in zip(ks[half:], vals[half:]) if v > 0]
     if len(pts) < 2:
         return None

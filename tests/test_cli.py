@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -116,6 +117,22 @@ def test_refine_csv(tmp_path, capsys):
     assert "rho_emp" in capsys.readouterr().out
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_refine_golden_digest(tmp_path):
+    out = tmp_path / "decay.csv"
+    assert run(["refine", "--scheme", "derham:gamma=2.3,alpha=1.1",
+                "--levels", "14", "--out", str(out)]) == 0
+    assert sha256(out) == "c290f5571f4b5127762acab1afdee7ddc68806a07dfd155494afdbcfcd95acfa"
+
+
+def test_refine_exact_zero_gaps_rate(capsys):
+    assert run(["refine", "--scheme", "linear_bspline", "--levels", "8"]) == 0
+    assert "rho_emp = 0.0\n" in capsys.readouterr().out
+
+
 def test_refine_with_certificate(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     assert run(["certify", "--scheme", "chaikin", "--comparator", "chaikin",
@@ -150,6 +167,18 @@ def test_figure1(tmp_path, capsys):
     assert peaks == sorted(peaks, reverse=True)
 
 
+def test_figure1_golden_digests(tmp_path):
+    prefix = tmp_path / "fig1"
+    assert run(["figure", "1", "--levels", "12", "--out", str(prefix)]) == 0
+    assert {p.name: sha256(p) for p in tmp_path.glob("fig1_alpha_*.csv")} == {
+        "fig1_alpha_+2.5.csv": "aa62b0bab61647f7d7460d8dd16d0985482216717273755fcf6e0f6c7dd76ce5",
+        "fig1_alpha_+1.5.csv": "bdd3836f1884c4a515ca404891fd1f58e5d8118249e6f66304b095083981a1f5",
+        "fig1_alpha_+0.5.csv": "b6e3832eed8f81e5ff19a7cc1fa987d98b9755f0b2cdad51c2d50cda6dbfeadd",
+        "fig1_alpha_-0.5.csv": "93ad228d24b838d0b25536ce1d8a755e1a562acf52ffe0c5505335c834226c77",
+        "fig1_alpha_-1.5.csv": "564c94b916a33a03c7dfd59e4e4c13cb468ed9b66f249d4048f7c625163d96a6",
+    }
+
+
 def test_figure2(tmp_path, capsys):
     out = tmp_path / "fig2.csv"
     assert run(["figure", "2", "--out", str(out)]) == 0
@@ -157,6 +186,7 @@ def test_figure2(tmp_path, capsys):
     assert lines[0] == "k,x,value"
     levels = {line.split(",")[0] for line in lines[1:]}
     assert levels == {"9", "13", "17"}
+    assert sha256(out) == "a5c850a87596eccc160745c182cb6bb3f6994a290be6d6e42ec3f10e31b0c3f7"
     assert "do not decay" in capsys.readouterr().out
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subdiv import catalog
+from subdiv import catalog, operators
 from subdiv.errors import ContractionNotFound, EmptyOutput, InvalidParameter, NotConstantReproducing
 from subdiv.masks import Mask, difference_mask, symbol_eval
 from subdiv.operators import (
@@ -77,6 +77,40 @@ def test_apply_matches_bruteforce(rng):
         want = brute_apply(m, f, arity=4)
         assert got.start == want.start and len(got) == len(want)
         assert np.allclose(got.values, want.values, atol=1e-12)
+
+
+def zero_stuffed_convolve(m: Mask, f: Window, arity: int) -> Window:
+    """Oracle: ``apply`` as one whole-window zero-stuffed np.convolve."""
+    up = np.zeros(arity * (len(f) - 1) + 1)
+    up[::arity] = f.values
+    conv = np.convolve(up, np.asarray(m.coeffs))
+    lo = len(m) - arity
+    out = np.zeros(arity * (len(f) + 1) - len(m))
+    if lo >= 0:
+        out[:] = conv[lo : lo + len(out)]
+    else:
+        out[-lo : -lo + len(conv)] = conv
+    return Window(arity * f.start + m.support[1] - arity + 1, out)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("block", [48, None], ids=["block48", "block_default"])
+def test_blocked_apply_bit_identical(rng, monkeypatch, arity, block):
+    """Blocked apply equals the whole-window convolution bit for bit, for
+    windows one block long give or take one value and about two blocks long.
+    A patched small block covers every mask length 1..40; the default block
+    covers the longest mask and two more."""
+    if block is not None:
+        monkeypatch.setattr(operators, "_BLOCK", block)
+    size = operators._BLOCK
+    lengths = range(1, 41) if block else [40, *rng.integers(1, 40, 2)]
+    for n_coeffs in lengths:
+        for n in (size - 1, size, size + 1, 2 * size + int(rng.integers(-3, 4))):
+            m = Mask(int(rng.integers(-5, 5)), tuple(rng.uniform(-1, 1, n_coeffs)))
+            f = Window(int(rng.integers(-50, 50)), rng.uniform(-1, 1, n))
+            got, want = apply(m, f, arity), zero_stuffed_convolve(m, f, arity)
+            assert got.start == want.start
+            assert np.array_equal(got.values, want.values), (n_coeffs, n)
 
 
 def test_apply_short_mask_pads_zeros():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subdiv import catalog
+from subdiv import catalog, operators, refine
 from subdiv.errors import EmptyOutput, InvalidParameter, OutOfDomain
 from subdiv.masks import LINEAR_BSPLINE, Mask, difference_mask
 from subdiv.operators import Window, apply
@@ -64,6 +64,24 @@ def test_difference_commutation_along_run(rng):
             a = via_rule.values[lo - via_rule.start : hi - via_rule.start]
             b = st.deltas.values[lo - st.deltas.start : hi - st.deltas.start]
             assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("spike", [5, 50, 95], ids=["first", "middle", "last"])
+def test_cross_check_catches_rule_error_in_any_block(monkeypatch, spike):
+    """A difference rule off by 1e-9 in one coefficient is caught wherever
+    the data that exposes it sits: in the first, a middle or the last of the
+    blocks the cross-check walks."""
+    monkeypatch.setattr(operators, "_BLOCK", 16)
+    scheme = catalog.chaikin()
+    values = np.zeros(101)
+    values[spike] = 1.0
+    st = make_state(Window(-50, values), level=0)
+    assert len(refine_once(st, scheme).window) >= 3 * operators._BLOCK
+    q = difference_mask(scheme.mask_at(0))
+    off = Mask(q.base, (q.coeffs[0] + 1e-9, *q.coeffs[1:]))
+    monkeypatch.setattr(refine, "difference_mask", lambda m: off)
+    with pytest.raises(RuntimeError, match="difference rule disagrees"):
+        refine_once(st, scheme)
 
 
 def test_valid_interval_nests():
@@ -140,6 +158,7 @@ def test_pl_gap_matches_oracle(scheme, initial, first_gap):
         assert rep.cauchy_norms[0] == first_gap
     if first_gap == 0.0:
         assert rep.cauchy_norms == (0.0,) * len(rep.ks)
+        assert rep.rho_emp == 0.0  # exact-zero gaps decay at factor 0
 
 
 @pytest.mark.parametrize(
@@ -199,8 +218,9 @@ def test_decay_report_bounds_with_certificate():
 
 
 def test_decay_report_peak_memory():
-    """Only the current and next state are held: the tracemalloc peak stays
-    within 6 final-window sizes (holding every level took 10)."""
+    """Only the current and next window are held, and every pass over them
+    runs in blocks: the tracemalloc peak stays within 2.5 final-window sizes
+    (holding every level took 10, and whole-window passes 5)."""
     scheme = catalog.derham_nonstationary(2.2, alpha=1.5)
     final = limit_sample(scheme, impulse(8, level=1), 15).values
     tracemalloc.start()
@@ -209,7 +229,7 @@ def test_decay_report_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * final.nbytes
+    assert peak <= 2.5 * final.nbytes
 
 
 def test_decay_report_needs_levels():

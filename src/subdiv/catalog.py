@@ -186,15 +186,15 @@ def scheme_from_dict(obj: dict) -> SchemeSpec:
     {"kind": "formula", "name": ..., "params": {...}, "k0": ..., "N": ...}.
     Mask literals are {"base": ..., "coeffs": [...]}.
     """
+    if not isinstance(obj, dict):
+        raise InvalidParameter("a scheme description must be a JSON object")
     kind = obj.get("kind")
+    N = None if obj.get("N") is None else int(obj["N"])
+    k0 = int(obj.get("k0", 0))
     if kind == "stationary":
-        return stationary_scheme(Mask.from_dict(obj["mask"]), N=obj.get("N"))
+        return stationary_scheme(Mask.from_dict(obj["mask"]), N=N)
     if kind == "table":
-        return table_scheme(
-            [Mask.from_dict(m) for m in obj["masks"]],
-            k0=int(obj.get("k0", 0)),
-            N=obj.get("N"),
-        )
+        return table_scheme([Mask.from_dict(m) for m in obj["masks"]], k0=k0, N=N)
     if kind == "formula":
         params = dict(obj.get("params", {}))
         name = obj["name"]
@@ -206,7 +206,7 @@ def scheme_from_dict(obj: dict) -> SchemeSpec:
                 params["eps"] = eps
                 params.pop("alpha", None)
             if "k0" in obj:
-                params["k0"] = int(obj["k0"])
+                params["k0"] = k0
         return build(name, **params)
     raise InvalidParameter(f"unknown scheme kind {kind!r}")
 

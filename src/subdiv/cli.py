@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import catalog, refine
@@ -42,19 +41,6 @@ FIGURE1_ALPHAS = (2.5, 1.5, 0.5, -0.5, -1.5)
 FIGURE2_ITERATIONS = (8, 12, 16)
 
 
-def _num_threads() -> int:
-    """Requested parallelism cap; evaluation is sequential, which honors
-    any cap and keeps outputs deterministic."""
-    raw = os.environ.get("SUBDIV_NUM_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidParameter(f"SUBDIV_NUM_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise InvalidParameter("SUBDIV_NUM_THREADS must be at least 1")
-    return cap
-
-
 def _parse_k_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     try:
@@ -82,12 +68,16 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _failure(kind: str, exc: Exception, out: str | None) -> None:
+def _reason(exc: Exception) -> dict:
     reason = {"type": type(exc).__name__, "message": str(exc)}
     level = getattr(exc, "level", None)
     if level is not None:
         reason["level"] = level
-    _emit_json({kind: False, "reason": reason}, out)
+    return reason
+
+
+def _failure(kind: str, exc: Exception, out: str | None) -> None:
+    _emit_json({kind: False, "reason": _reason(exc)}, out)
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
@@ -101,13 +91,12 @@ def _map_failure(kind: str, exc: Exception, out: str | None) -> int:
 def _load_scheme(text: str):
     try:
         return catalog.parse_scheme_arg(text)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, SubdivError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, SubdivError) as exc:
         print(f"error loading scheme {text!r}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_LOAD)
 
 
 def cmd_analyze(args) -> int:
-    _num_threads()
     scheme = _load_scheme(args.scheme)
     k_lo, k_hi = args.k_range or (scheme.k0, scheme.k0 + 16)
     if scheme.max_level is not None:
@@ -142,22 +131,24 @@ def cmd_analyze(args) -> int:
 
     bound = boundedness_estimate(scheme, (k_lo, k_hi))
     report["boundedness"] = bound.to_dict()
-    if not all_ok:
-        exc = NotConstantReproducing(
-            "constant reproduction fails on scanned levels; no difference "
-            "scheme exists"
-        )
-        report["contraction"] = None
-        report["ok"] = False
-        report["reason"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit_json(report, args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     try:
+        if not all_ok:
+            raise NotConstantReproducing(
+                "constant reproduction fails on scanned levels; no difference "
+                "scheme exists"
+            )
+        # the search also reads levels past the ones listed above
         witness = condition_a_search(
             scheme, n_max=args.n_max, K_max=args.K_max, window=args.window,
             tol=args.tol,
         )
+    except NotConstantReproducing as exc:
+        report["contraction"] = None
+        report["ok"] = False
+        report["reason"] = _reason(exc)
+        _emit_json(report, args.out)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except ContractionNotFound as exc:
         report["contraction"] = None
         report["scan"] = [list(c) for c in exc.scan]
@@ -184,7 +175,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _num_threads()
     a = _load_scheme(args.scheme)
     b = _load_scheme(args.comparator)
     k_lo, k_hi = args.k_range or (max(a.k0, b.k0), max(a.k0, b.k0) + 63)
@@ -208,7 +198,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    _num_threads()
     target = _load_scheme(args.scheme)
     comparator = _load_scheme(args.comparator)
     k_range = args.k_range or (target.k0, target.k0 + args.window - 1)
@@ -236,22 +225,28 @@ def _initial_state(args, scheme) -> refine.RefinementState:
         return refine.impulse(args.halfwidth, level=scheme.k0)
     if args.initial == "ones":
         return refine.constant(1.0, args.halfwidth, level=scheme.k0)
-    with open(args.initial, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    window = refine.Window(int(obj["start"]), [float(v) for v in obj["values"]])
-    return refine.make_state(window, level=int(obj.get("level", scheme.k0)))
+    try:
+        with open(args.initial, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        window = refine.Window(int(obj["start"]), [float(v) for v in obj["values"]])
+        level = int(obj.get("level", scheme.k0))
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        print(f"error loading initial window: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_LOAD)
+    return refine.make_state(window, level=level)
 
 
 def cmd_refine(args) -> int:
-    _num_threads()
     scheme = _load_scheme(args.scheme)
     cert = None
     if args.certificate:
         try:
             with open(args.certificate, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-            cert = ConvergenceCertificate.from_dict(obj.get("certificate", obj))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            if isinstance(obj, dict):
+                obj = obj.get("certificate", obj)
+            cert = ConvergenceCertificate.from_dict(obj)
+        except (OSError, KeyError, ValueError) as exc:
             print(f"error loading certificate: {exc}", file=sys.stderr)
             return EXIT_LOAD
     try:
@@ -275,7 +270,6 @@ def cmd_refine(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    _num_threads()
     if args.which == 1:
         gamma = args.gamma
         peaks = []

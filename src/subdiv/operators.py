@@ -4,13 +4,13 @@ contraction search."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractionNotFound, EmptyOutput, InvalidParameter, NotConstantReproducing
-from .masks import Mask, difference_mask
+from .errors import ContractionNotFound, EmptyOutput, InvalidParameter
+from .masks import Mask
 
 
 class Window:
@@ -244,29 +244,44 @@ class ContractionWitness:
     windowed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "n": self.n,
-            "mu": self.mu,
-            "window": self.window,
-            "windowed": self.windowed,
-        }
+        return asdict(self)
 
 
-def _difference_mask_at(scheme, k: int, tol: float) -> Mask:
-    try:
-        return difference_mask(scheme.mask_at(k), tol)
-    except NotConstantReproducing as exc:
-        raise NotConstantReproducing(f"level {k}: {exc}", level=k) from None
+def _contraction_cells(scheme, n_max: int, K_max: int, window: int, tol: float):
+    """Yield the search's ``(n, K, mu, levels_checked)`` cells in contract
+    order: product length n outer, start level K inner.
 
+    ``mu`` is the maximum norm of the n-fold difference-rule products
+    starting at levels K .. K + window, clamped to the levels the scheme
+    defines.  A stationary scheme yields one exact cell per n, with K
+    pinned at k0.
+    """
+    if n_max < 1 or window < 1 or K_max < 0:
+        raise InvalidParameter("n_max and window must be >= 1, K_max >= 0")
+    k0 = scheme.k0
+    if scheme.kind == "stationary":
+        q = scheme.difference_mask_at(k0, tol)
+        for n in range(1, n_max + 1):
+            yield n, k0, product_norm([q] * n), 1
+        return
 
-def _scan_levels(scheme, n_max: int, K_max: int, window: int) -> tuple[int, int]:
-    """(first, last) level whose difference mask the scan may touch."""
-    first = scheme.k0
-    last = scheme.k0 + K_max + window + n_max - 1
+    last = k0 + K_max + window + n_max - 1
     if scheme.max_level is not None:
         last = min(last, scheme.max_level)
-    return first, last
+    qs = {k: scheme.difference_mask_at(k, tol) for k in range(k0, last + 1)}
+    for n in range(1, n_max + 1):
+        top_start = last - n + 1
+        if top_start < k0:
+            return
+        norms = {
+            k: product_norm([qs[k + n - 1 - j] for j in range(n)])
+            for k in range(k0, top_start + 1)
+        }
+        for K in range(k0, k0 + K_max + 1):
+            ks = range(K, min(K + window, top_start) + 1)
+            if not len(ks):
+                break
+            yield n, K, max(norms[k] for k in ks), len(ks)
 
 
 def condition_a_search(
@@ -291,44 +306,20 @@ def condition_a_search(
     rule, and ContractionNotFound (with the scanned table attached) when no
     pair succeeds; the latter is inconclusive, not a disproof.
     """
-    if n_max < 1 or window < 1 or K_max < 0:
-        raise InvalidParameter("n_max and window must be >= 1, K_max >= 0")
-    k0 = scheme.k0
+    scan = []
+    for n, K, mu, checked in _contraction_cells(scheme, n_max, K_max, window, tol):
+        if mu < 1.0:
+            return ContractionWitness(
+                K=K, n=n, mu=mu, window=checked,
+                windowed=scheme.kind != "stationary",
+            )
+        scan.append((n, K, mu))
     if scheme.kind == "stationary":
-        q = _difference_mask_at(scheme, k0, tol)
-        scan = []
-        for n in range(1, n_max + 1):
-            mu = product_norm([q] * n)
-            scan.append((n, k0, mu))
-            if mu < 1.0:
-                return ContractionWitness(K=k0, n=n, mu=mu, window=1, windowed=False)
         raise ContractionNotFound(
             f"no product length up to {n_max} contracts", scan=scan
         )
-
-    first, last = _scan_levels(scheme, n_max, K_max, window)
-    qs = {k: _difference_mask_at(scheme, k, tol) for k in range(first, last + 1)}
-    scan = []
-    for n in range(1, n_max + 1):
-        top_start = last - n + 1
-        if top_start < k0:
-            break
-        norms = {
-            k: product_norm([qs[k + n - 1 - j] for j in range(n)])
-            for k in range(k0, top_start + 1)
-        }
-        for K in range(k0, k0 + K_max + 1):
-            ks = range(K, min(K + window, top_start) + 1)
-            if not len(ks):
-                break
-            mu = max(norms[k] for k in ks)
-            scan.append((n, K, mu))
-            if mu < 1.0:
-                return ContractionWitness(
-                    K=K, n=n, mu=mu, window=len(ks), windowed=True
-                )
     raise ContractionNotFound(
-        f"no (K, n) with n <= {n_max}, K <= {k0 + K_max} contracts "
+        f"no (K, n) with n <= {n_max}, K <= {scheme.k0 + K_max} contracts "
         f"over a window of {window}",
         scan=scan,
     )
@@ -343,26 +334,10 @@ def contraction_scan(
 ) -> list[tuple[int, int, float]]:
     """All (n, K, mu) cells the search would consider, without early exit.
 
-    Stationary schemes report one row per n (K pinned at k0).
+    Stationary schemes report one row per n (K pinned at k0).  Arguments
+    the search refuses raise InvalidParameter here too.
     """
-    k0 = scheme.k0
-    if scheme.kind == "stationary":
-        q = _difference_mask_at(scheme, k0, tol)
-        return [(n, k0, product_norm([q] * n)) for n in range(1, n_max + 1)]
-    first, last = _scan_levels(scheme, n_max, K_max, window)
-    qs = {k: _difference_mask_at(scheme, k, tol) for k in range(first, last + 1)}
-    out = []
-    for n in range(1, n_max + 1):
-        top_start = last - n + 1
-        if top_start < k0:
-            break
-        norms = {
-            k: product_norm([qs[k + n - 1 - j] for j in range(n)])
-            for k in range(k0, top_start + 1)
-        }
-        for K in range(k0, k0 + K_max + 1):
-            ks = range(K, min(K + window, top_start) + 1)
-            if not len(ks):
-                break
-            out.append((n, K, max(norms[k] for k in ks)))
-    return out
+    return [
+        (n, K, mu)
+        for n, K, mu, _ in _contraction_cells(scheme, n_max, K_max, window, tol)
+    ]

@@ -6,7 +6,7 @@ explicit error constants."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,6 +15,7 @@ from .errors import (
     AlignmentMismatch,
     EtaOutOfRange,
     InvalidParameter,
+    NotConstantReproducing,
     SimilarityNotEstablished,
     TailNotReached,
 )
@@ -81,6 +82,14 @@ class SchemeSpec:
                 f"mask at level {k} has support {sup}, outside [-{self.N}, {self.N}]"
             )
         return m
+
+    def difference_mask_at(self, k: int, tol: float) -> Mask:
+        """Difference rule of the level-k mask.  A mask that does not
+        reproduce constants raises NotConstantReproducing tagged with k."""
+        try:
+            return difference_mask(self.mask_at(k), tol)
+        except NotConstantReproducing as exc:
+            raise NotConstantReproducing(f"level {k}: {exc}", level=k) from None
 
     def to_dict(self) -> dict:
         if self.descriptor is not None:
@@ -189,13 +198,7 @@ class BoundednessReport:
     k_hi: int
 
     def to_dict(self) -> dict:
-        return {
-            "coeff_sup": self.coeff_sup,
-            "operator_sup": self.operator_sup,
-            "from_hint": self.from_hint,
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-        }
+        return asdict(self)
 
 
 def boundedness_estimate(scheme: SchemeSpec, k_range: tuple[int, int]) -> BoundednessReport:
@@ -241,17 +244,10 @@ class SimilarityReport:
         return list(zip(self.ks, self.diffs))
 
     def to_dict(self) -> dict:
-        return {
-            "k": list(self.ks),
-            "diff": list(self.diffs),
-            "partial_sum": list(self.partial_sums),
-            "similar": self.similar,
-            "equivalent": self.equivalent,
-            "decay_fit": list(self.decay_fit) if self.decay_fit else None,
-            "analytic": self.analytic,
-            "N": self.N,
-            "tol": self.tol,
-        }
+        d = asdict(self)
+        for old, new in (("ks", "k"), ("diffs", "diff"), ("partial_sums", "partial_sum")):
+            d[new] = d.pop(old)
+        return d
 
 
 def _loglog_fit(ks: Sequence[int], vals: Sequence[float]) -> tuple[float, float] | None:
@@ -371,9 +367,7 @@ def similarity_report(
 
 def _product_op(scheme: SchemeSpec, k: int, n: int, tol: float):
     """Composed operator of the difference rules for levels k .. k+n-1."""
-    from .operators import _difference_mask_at
-
-    return compose_all([_difference_mask_at(scheme, k + n - 1 - j, tol) for j in range(n)])
+    return compose_all([scheme.difference_mask_at(k + n - 1 - j, tol) for j in range(n)])
 
 
 def _transfer(
@@ -384,8 +378,6 @@ def _transfer(
     tol: float,
     mu: float | None,
 ) -> tuple[ContractionWitness, dict]:
-    from .operators import _difference_mask_at
-
     mu_star, n = witness_star.mu, witness_star.n
     if not mu_star < 1.0:
         raise InvalidParameter("comparator witness does not contract (mu* >= 1)")
@@ -410,10 +402,7 @@ def _transfer(
 
     # Constant reproduction on every scanned target level, checked before
     # similarity so the failure reported first is the binding one.
-    target_q = {
-        k: _difference_mask_at(target, k, tol)
-        for k in range(k_lo, k_hi + n)
-    }
+    target_q = {k: target.difference_mask_at(k, tol) for k in range(k_lo, k_hi + n)}
     sim = similarity_report(target, comparator, (k_lo, k_hi), tol)
     if sim.similar != "yes":
         raise SimilarityNotEstablished(
@@ -535,34 +524,55 @@ class ConvergenceCertificate:
     meta: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "mu_star": self.mu_star,
-            "n": self.n,
-            "K": self.K,
-            "mu": self.mu,
-            "mu_hat": self.mu_hat,
-            "eta": self.eta,
-            "C1": self.C1,
-            "C2": self.C2,
-            "Gamma": self.Gamma,
-            "C": self.C,
-            "holder_exponent": self.holder_exponent,
-            "provenance": self.provenance,
-            "windowed": self.windowed,
-            "scan": dict(self.meta),
-        }
+        d = asdict(self)
+        d["scan"] = d.pop("meta")
+        return d
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ConvergenceCertificate":
-        return cls(
-            mu_star=float(obj["mu_star"]), n=int(obj["n"]), K=int(obj["K"]),
-            mu=float(obj["mu"]), mu_hat=float(obj["mu_hat"]),
-            eta=float(obj["eta"]), C1=float(obj["C1"]), C2=float(obj["C2"]),
-            Gamma=float(obj["Gamma"]), C=float(obj["C"]),
-            holder_exponent=float(obj["holder_exponent"]),
-            provenance=str(obj["provenance"]), windowed=bool(obj["windowed"]),
-            meta=dict(obj.get("scan", {})),
+    def from_dict(cls, obj) -> "ConvergenceCertificate":
+        """Rebuild a certificate from ``to_dict`` output read back from a
+        file.  Raises ValueError for a non-object, a field of the wrong
+        type, a non-finite number, or mu_hat outside (0, 1), and KeyError
+        for a missing field."""
+        if not isinstance(obj, dict):
+            raise ValueError("a certificate must be a JSON object")
+        scan = obj.get("scan", {})
+        if not isinstance(scan, dict):
+            raise ValueError(f"certificate field 'scan' must be an object, got {scan!r}")
+        cert = cls(
+            mu_star=_number(obj, "mu_star"), n=_typed(obj, "n", int),
+            K=_typed(obj, "K", int), mu=_number(obj, "mu"),
+            mu_hat=_number(obj, "mu_hat"), eta=_number(obj, "eta"),
+            C1=_number(obj, "C1"), C2=_number(obj, "C2"),
+            Gamma=_number(obj, "Gamma"), C=_number(obj, "C"),
+            holder_exponent=_number(obj, "holder_exponent"),
+            provenance=_typed(obj, "provenance", str),
+            windowed=_typed(obj, "windowed", bool),
+            meta=dict(scan),
         )
+        if not 0.0 < cert.mu_hat < 1.0:
+            raise ValueError(f"certificate mu_hat = {cert.mu_hat!r} is outside (0, 1)")
+        return cert
+
+
+def _typed(obj: dict, key: str, kind: type):
+    """``obj[key]``, which must be a JSON value of Python type ``kind``."""
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"certificate field {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str) -> float:
+    """``obj[key]`` as a finite float."""
+    value = obj[key]
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"certificate field {key!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def certify_theorem4(
@@ -633,7 +643,7 @@ def certify_theorem4(
     best = 1.0
     c1_exact = True
     for m_level in range(target.k0 + 1, K + n):
-        prefix.insert(0, difference_mask(target.mask_at(m_level - 1), tol))
+        prefix.insert(0, target.difference_mask_at(m_level - 1, tol))
         norm_m, was_exact = _prefix_norm(prefix)
         c1_exact = c1_exact and was_exact
         best = max(best, norm_m)

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import subdiv
 from subdiv.cli import main
 
 
@@ -28,6 +32,19 @@ def test_analyze_perturbed_precondition(capsys):
     out = capsys.readouterr().out
     assert "FAILS" in out
     assert "NotConstantReproducing" in out
+
+
+def test_analyze_precondition_past_listed_levels(tmp_path, capsys):
+    # levels 0-16 are listed and reproduce constants; the search reaches 18
+    good = {"base": -1, "coeffs": [0.25, 0.75, 0.75, 0.25]}
+    bad = {"base": -1, "coeffs": [0.3, 0.75, 0.75, 0.25]}
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps({"kind": "table", "masks": [good] * 18 + [bad] * 2, "N": 2}))
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--scheme", str(path), "--out", str(out)]) == 3
+    reason = json.loads(out.read_text())["reason"]
+    assert reason["type"] == "NotConstantReproducing"
+    assert reason["level"] == 18
 
 
 def test_analyze_json_report(tmp_path, capsys):
@@ -210,16 +227,87 @@ def test_malformed_json_exit2(tmp_path):
 
 
 def test_console_entry_point():
+    # the subprocess imports the same subdiv as this test, installed or not
+    src = str(Path(subdiv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "subdiv.cli", "analyze", "--scheme", "chaikin"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "mu=0.5" in proc.stdout
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SUBDIV_NUM_THREADS", "4")
-    assert run(["analyze", "--scheme", "chaikin"]) == 0
-    monkeypatch.setenv("SUBDIV_NUM_THREADS", "zero")
-    assert run(["analyze", "--scheme", "chaikin"]) == 3
+CHAIKIN_JSON = {"base": -1, "coeffs": [0.25, 0.75, 0.75, 0.25]}
+VALID_SCHEMES = [
+    {"kind": "stationary", "mask": CHAIKIN_JSON, "N": 2},
+    {"kind": "table", "masks": [CHAIKIN_JSON] * 12, "k0": 0, "N": 2},
+    {"kind": "formula", "name": "derham",
+     "params": {"gamma": 2.0, "eps": "alpha_over_k", "alpha": 1.5}, "k0": 1, "N": 2},
+    {"kind": "formula", "name": "derham",
+     "params": {"gamma": 2.0, "eps": [1.5 / k for k in range(1, 13)]}, "k0": 1, "N": 2},
+]
+VALID_INITIAL = {"start": -4, "values": [0, 0, 0, 1, 1, 0, 0, 0, 0], "level": 0}
+BAD_VALUES = (None, True, -1, 0, 1.5, 1e308, -1e308, float("nan"), float("inf"),
+              "", "x", [], {}, [0, "x"], {"x": 1})
+
+
+def json_paths(obj, path=()):
+    """Every key path in a JSON value, the root's empty path included."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        items = ()
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def mutate(obj, rng):
+    """A copy of a JSON value with one value swapped for a bad one, or one
+    object key dropped."""
+    path = rng.choice(list(json_paths(obj)))
+    if not path:
+        return rng.choice(BAD_VALUES)
+    obj = json.loads(json.dumps(obj))  # a copy that shares no lists or objects
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rng.random() < 0.25:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(BAD_VALUES)
+    return obj
+
+
+def test_malformed_input_files_exit_codes(tmp_path):
+    """Seeded mutations of valid scheme, initial-window and certificate
+    files end in a documented exit code, never in an exception."""
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", "--scheme", "chaikin", "--comparator", "chaikin",
+                "--out", str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    certificates = [payload, payload["certificate"]]
+    path = tmp_path / "input.json"
+    refine_chaikin = ["refine", "--scheme", "chaikin", "--levels", "6"]
+    rng = random.Random(20261018)
+    for case in range(210):
+        if case % 3 == 0:
+            path.write_text(json.dumps(mutate(rng.choice(VALID_SCHEMES), rng)))
+            argv = rng.choice([
+                ["analyze", "--scheme", str(path)],
+                ["compare", "--scheme", str(path), "--comparator", "chaikin",
+                 "--k-range", "1:16"],
+                ["certify", "--scheme", str(path), "--comparator", "chaikin"],
+                ["refine", "--scheme", str(path), "--levels", "6"],
+            ])
+        elif case % 3 == 1:
+            path.write_text(json.dumps(mutate(VALID_INITIAL, rng)))
+            argv = refine_chaikin + ["--initial", str(path)]
+        else:
+            path.write_text(json.dumps(mutate(rng.choice(certificates), rng)))
+            argv = refine_chaikin + ["--certificate", str(path)]
+        assert run(argv) in (0, 2, 3, 4), path.read_text()

@@ -14,7 +14,7 @@ from subdiv.operators import (
     contraction_scan,
     product_norm,
 )
-from subdiv.schemes import stationary_scheme
+from subdiv.schemes import formula_scheme, stationary_scheme
 
 from conftest import brute_apply, random_cr_mask, random_mask, random_window
 
@@ -257,12 +257,48 @@ def test_condition_a_not_found():
     assert len(exc.value.scan) == 4
 
 
-def test_contraction_scan_consistent():
-    scheme = catalog.derham_nonstationary(2.0, alpha=1.5)
-    cells = contraction_scan(scheme, n_max=2, K_max=4, window=8)
-    w = condition_a_search(scheme, n_max=2, K_max=4, window=8)
-    table = {(n, K): mu for n, K, mu in cells}
-    assert table[(w.n, w.K)] == pytest.approx(w.mu, abs=1e-15)
+def four_point_drift(k):
+    """The 4-point rule with tension 1/16 + 0.2/k: its level-1 difference
+    rule expands, so the search's witness is not the first cell."""
+    w = 1 / 16 + 0.2 / k
+    return Mask(-3, (-w, 0.0, 0.5 + w, 1.0, 0.5 + w, 0.0, -w))
+
+
+@pytest.mark.parametrize("scheme", [
+    pytest.param(catalog.chaikin(), id="chaikin"),
+    pytest.param(catalog.derham_nonstationary(2.0, alpha=1.5), id="derham"),
+    pytest.param(catalog.derham_nonstationary(2.0, eps=[1.5 / k for k in range(1, 13)], k0=1),
+                 id="eps_table"),
+    pytest.param(formula_scheme(four_point_drift, k0=1, N=3), id="four_point_drift"),
+    pytest.param(stationary_scheme(Mask(0, (2.0, 1.0, -1.0))), id="diverging"),
+])
+def test_contraction_scan_consistent(scheme):
+    """The search returns the first cell of the scan (n outer, K inner)
+    with mu < 1, checked over the levels the scheme defines; without one it
+    reports the whole scan."""
+    n_max, K_max, window = 2, 4, 8
+    cells = contraction_scan(scheme, n_max=n_max, K_max=K_max, window=window)
+    try:
+        w = condition_a_search(scheme, n_max=n_max, K_max=K_max, window=window)
+    except ContractionNotFound as exc:
+        assert cells and all(mu >= 1.0 for _, _, mu in cells)
+        assert exc.scan == cells
+        return
+    first = next(i for i, (_, _, mu) in enumerate(cells) if mu < 1.0)
+    assert cells[first] == (w.n, w.K, w.mu)
+    assert all(mu >= 1.0 for _, _, mu in cells[:first])
+    if scheme.kind == "stationary":
+        assert (w.K, w.window, w.windowed) == (scheme.k0, 1, False)
+        return
+    last = scheme.k0 + K_max + window + n_max - 1
+    if scheme.max_level is not None:
+        last = min(last, scheme.max_level)
+    starts = [k for k in range(w.K, w.K + window + 1) if k + w.n - 1 <= last]
+    assert w.windowed and w.window == len(starts)
+    assert w.mu == max(
+        product_norm([difference_mask(scheme.mask_at(k + w.n - 1 - j)) for j in range(w.n)])
+        for k in starts
+    )
 
 
 def test_condition_a_search_clamps_to_table():

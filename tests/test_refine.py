@@ -84,13 +84,30 @@ def test_cross_check_catches_rule_error_in_any_block(monkeypatch, spike):
         refine_once(st, scheme)
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e8])
+def test_cross_check_tolerance_scales_with_values(monkeypatch, scale):
+    """Both routes to the new differences round in proportion to the size
+    of the values: data of size ``scale`` refines without a false alarm,
+    and a difference rule off by 1e-9 is still caught at that size."""
+    rng = np.random.default_rng(7)
+    scheme = catalog.derham_nonstationary(2.3, alpha=1.1)
+    st = make_state(Window(-20, rng.uniform(-scale, scale, 41)), level=1)
+    for _ in range(8):
+        st = refine_once(st, scheme)
+    q = difference_mask(scheme.mask_at(st.level))
+    off = Mask(q.base, (q.coeffs[0] + 1e-9, *q.coeffs[1:]))
+    monkeypatch.setattr(refine, "difference_mask", lambda m: off)
+    with pytest.raises(RuntimeError, match="difference rule disagrees"):
+        refine_once(st, scheme)
+
+
 def test_valid_interval_nests():
     scheme = catalog.derham_nonstationary(2.0, alpha=1.5)
     st = impulse(8, level=1)
     for _ in range(8):
-        before = st.x_span()
+        before = pl_function(st).domain()
         st = refine_once(st, scheme)
-        after = st.x_span()
+        after = pl_function(st).domain()
         assert before[0] <= after[0] and after[1] <= before[1]
 
 

@@ -286,6 +286,16 @@ def test_certify_rejects_perturbed_scheme():
     assert exc.value.level == 1
 
 
+def test_certify_tags_prefix_level_below_window():
+    # level 0 lies below the scanned window but inside the C1 prefix
+    chaikin = catalog.chaikin().mask_at(0)
+    bad = Mask(-1, (0.3, 0.75, 0.75, 0.25))
+    with pytest.raises(NotConstantReproducing) as exc:
+        certify_theorem4(table_scheme([bad] + [chaikin] * 40), catalog.chaikin(),
+                         k_range=(3, 40))
+    assert exc.value.level == 0
+
+
 def test_certify_requires_stationary_comparator():
     t = catalog.derham_nonstationary(2.0, alpha=1.5)
     with pytest.raises(InvalidParameter):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import catalog, refine
@@ -39,6 +40,14 @@ EXIT_INCONCLUSIVE = 4
 
 FIGURE1_ALPHAS = (2.5, 1.5, 0.5, -0.5, -1.5)
 FIGURE2_ITERATIONS = (8, 12, 16)
+
+# A refine or figure run whose estimated memory exceeds this many bytes is
+# refused before it allocates anything (exit 3).  The estimate counts the
+# windows' arrays at about 1.5 x 8 bytes a value, or the rows at about 64
+# bytes a value when figure --out holds them as Python objects.
+MEMORY_BUDGET = 2**30
+_ARRAY_BYTES = 12
+_ROW_BYTES = 64
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -111,7 +120,7 @@ def cmd_analyze(args) -> int:
     all_ok = True
     for k in levels:
         m = scheme.mask_at(k)
-        ok = reproduces_constants(m, args.tol)
+        ok = reproduces_constants(m)
         entry = {
             "reproduces_constants": ok,
             "parity_sums": list(parity_sums(m)),
@@ -120,7 +129,7 @@ def cmd_analyze(args) -> int:
         verdict = "ok" if ok else "FAILS"
         line = f"level {k}: constants {verdict}; ||S_a|| = {sup_norm(m)!r}"
         if ok:
-            q = difference_mask(m, args.tol)
+            q = difference_mask(m)
             entry["difference_mask"] = q.to_dict()
             entry["difference_norm"] = sup_norm(q)
             if args.verbose or k - k_lo < 3:
@@ -139,8 +148,7 @@ def cmd_analyze(args) -> int:
             )
         # the search also reads levels past the ones listed above
         witness = condition_a_search(
-            scheme, n_max=args.n_max, K_max=args.K_max, window=args.window,
-            tol=args.tol,
+            scheme, n_max=args.n_max, K_max=args.K_max, window=args.window
         )
     except NotConstantReproducing as exc:
         report["contraction"] = None
@@ -160,8 +168,7 @@ def cmd_analyze(args) -> int:
         report["scan"] = [
             list(c)
             for c in contraction_scan(
-                scheme, n_max=args.n_max, K_max=args.K_max, window=args.window,
-                tol=args.tol,
+                scheme, n_max=args.n_max, K_max=args.K_max, window=args.window
             )
         ]
     print(
@@ -169,7 +176,7 @@ def cmd_analyze(args) -> int:
         f"(window={witness.window}, windowed={witness.windowed})"
     )
     print("note: products apply the lowest level first (rightmost factor).")
-    if args.out or args.format == "json":
+    if args.out:
         _emit_json(report, args.out)
     return EXIT_OK
 
@@ -179,7 +186,7 @@ def cmd_compare(args) -> int:
     b = _load_scheme(args.comparator)
     k_lo, k_hi = args.k_range or (max(a.k0, b.k0), max(a.k0, b.k0) + 63)
     try:
-        report = similarity_report(a, b, (k_lo, k_hi), tol=args.tol)
+        report = similarity_report(a, b, (k_lo, k_hi))
     except SubdivError as exc:
         return _map_failure("ok", exc, args.out and args.out + ".json")
     print(f"similar: {report.similar}; equivalent: {report.equivalent}"
@@ -203,8 +210,8 @@ def cmd_certify(args) -> int:
     k_range = args.k_range or (target.k0, target.k0 + args.window - 1)
     try:
         cert = certify_theorem4(
-            target, comparator, eta=args.eta, k_range=k_range, tol=args.tol,
-            mu=args.mu, n_max=args.n_max,
+            target, comparator, eta=args.eta, k_range=k_range, mu=args.mu,
+            n_max=args.n_max,
         )
     except (ContractionNotFound, TailNotReached, SubdivError) as exc:
         return _map_failure("certified", exc, args.out)
@@ -220,19 +227,37 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+def _check_memory(length: int, level: int, levels: int, per_value: int) -> None:
+    """Refuse to refine ``length`` values at ``level`` up to ``levels`` when
+    the estimate exceeds MEMORY_BUDGET.  Each level doubles a window, so
+    the run reaches at most length * 2**(levels - level + 1) values."""
+    need = per_value * length << min(max(levels - level + 1, 0), 64)
+    if need > MEMORY_BUDGET:
+        raise InvalidParameter(
+            f"refining {length} values from level {level} to level {levels} "
+            f"needs about {need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB "
+            "memory budget"
+        )
+
+
 def _initial_state(args, scheme) -> refine.RefinementState:
-    if args.initial == "delta":
-        return refine.impulse(args.halfwidth, level=scheme.k0)
-    if args.initial == "ones":
+    if args.initial in ("delta", "ones"):
+        _check_memory(2 * args.halfwidth + 1, scheme.k0, args.levels, _ARRAY_BYTES)
+        if args.initial == "delta":
+            return refine.impulse(args.halfwidth, level=scheme.k0)
         return refine.constant(1.0, args.halfwidth, level=scheme.k0)
     try:
         with open(args.initial, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        window = refine.Window(int(obj["start"]), [float(v) for v in obj["values"]])
+        values = [float(v) for v in obj["values"]]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("initial values must be finite numbers")
+        window = refine.Window(int(obj["start"]), values)
         level = int(obj.get("level", scheme.k0))
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"error loading initial window: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_LOAD)
+    _check_memory(len(window), level, args.levels, _ARRAY_BYTES)
     return refine.make_state(window, level=level)
 
 
@@ -270,6 +295,10 @@ def cmd_refine(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    # both figures refine schemes that start at level 1
+    levels = args.levels if args.which == 1 else 1 + max(FIGURE2_ITERATIONS)
+    _check_memory(2 * args.halfwidth + 1, 1, levels,
+                  _ROW_BYTES if args.out else _ARRAY_BYTES)
     if args.which == 1:
         gamma = args.gamma
         peaks = []
@@ -322,18 +351,18 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, comparator: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, comparator: bool = False,
+                k_range: bool = True) -> None:
     p.add_argument("--scheme", required=True,
                    help="catalog name (optionally name:key=val,...) or JSON path")
     if comparator:
         p.add_argument("--comparator", required=True,
                        help="comparator scheme, same syntax as --scheme")
-    p.add_argument("--k-range", type=_parse_k_range, default=None,
-                   metavar="A:B", dest="k_range",
-                   help="inclusive level range to scan")
-    p.add_argument("--tol", type=float, default=1e-12)
+    if k_range:
+        p.add_argument("--k-range", type=_parse_k_range, default=None,
+                       metavar="A:B", dest="k_range",
+                       help="inclusive level range to scan")
     p.add_argument("--out", default=None, help="output file (or file prefix)")
-    p.add_argument("--verbose", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--K-max", type=int, default=32, dest="K_max")
     p.add_argument("--window", type=int, default=64)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--verbose", action="store_true",
+                   help="list every difference rule and the whole contraction scan")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="asymptotic similarity / equivalence report")
@@ -366,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("refine", help="decay report for a scheme run")
-    _add_common(p)
+    _add_common(p, k_range=False)
     p.add_argument("--levels", type=int, default=12,
                    help="last level tabulated")
     p.add_argument("--initial", default="delta",
@@ -382,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=12)
     p.add_argument("--halfwidth", type=int, default=8)
     p.add_argument("--out", default=None)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_figure)
 
     return parser

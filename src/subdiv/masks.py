@@ -13,15 +13,34 @@ from typing import Sequence
 
 from .errors import NotConstantReproducing, NotFactorable
 
+# Tolerance policy.  Every inexact comparison in subdiv uses one of these
+# constants, and none of them is a parameter: each one is part of what a
+# verdict or a certificate means.
+#
+# The decision threshold of every inexact test on quantities of size about
+# 1: a symbol within TOL of 0 at -1 and of 2 at +1 reproduces constants;
+# masks whose coefficients differ by at most TOL are the same rule, and
+# mask differences at most TOL count as vanished in a similarity verdict;
+# a computed product norm may exceed its transferred bound by TOL; the
+# refinement cross-check allows TOL, times the largest value once that
+# exceeds 1, since both of its routes round in proportion to the data.
+TOL = 1e-12
+# A parity-class sum of a mask that passes the TOL test at +-1 is at most
+# TOL plus the rounding of the sum; 1/16 of headroom covers the rounding.
+_TAIL_TOL = TOL * 1.0625
 # Factorizations trim coefficients at or below this threshold: synthetic
 # division leaves float dust that would otherwise break canonical form.
 TRIM_TOL = 1e-14
-
 # The reconstruction identity re-derived from a factorization must agree
 # with the input this tightly, else an index bug is suspected.
 _RECONSTRUCT_TOL = 1e-10
-
-DEFAULT_TOL = 1e-12
+# Rounding slack between two routes to the same number of size about 1, a
+# few ulps of 1: a similarity tail may step up by this much and still be
+# nonincreasing, and eta may undercut mu_hat by this much.
+ROUND_TOL = 1e-15
+# A similarity tail trends down only when its last value sits below its
+# first by this relative margin, so rounding on a flat tail reads as flat.
+DECAY_MARGIN = 1e-9
 
 
 def _trimmed(base: int, coeffs: Sequence[float], tol: float) -> tuple[int, tuple[float, ...]]:
@@ -71,11 +90,6 @@ class Mask:
         if 0 <= p < len(self.coeffs):
             return self.coeffs[p]
         return 0.0
-
-    def trimmed(self, tol: float = TRIM_TOL) -> "Mask":
-        """Drop leading/trailing coefficients with magnitude <= tol."""
-        base, coeffs = _trimmed(self.base, self.coeffs, tol)
-        return Mask(base, coeffs)
 
     def __add__(self, other: "Mask") -> "Mask":
         return _combine(self, other, 1.0)
@@ -155,18 +169,16 @@ def parity_sums(m: Mask) -> tuple[float, float]:
     return even, odd
 
 
-def reproduces_constants(m: Mask, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the symbol vanishes at -1 and equals 2 at +1, within tol.
+def reproduces_constants(m: Mask) -> bool:
+    """True iff the symbol vanishes at -1 and equals 2 at +1, within TOL.
 
     Equivalently: both parity sums equal 1, which is what keeps all-ones
     data invariant under refinement.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return abs(symbol_eval(m, -1.0)) <= tol and abs(symbol_eval(m, 1.0) - 2.0) <= tol
+    return abs(symbol_eval(m, -1.0)) <= TOL and abs(symbol_eval(m, 1.0) - 2.0) <= TOL
 
 
-def difference_mask(m: Mask, tol: float = DEFAULT_TOL) -> Mask:
+def difference_mask(m: Mask) -> Mask:
     """Divide the symbol exactly by (1 + z): the mask acting on backward
     differences.
 
@@ -175,7 +187,7 @@ def difference_mask(m: Mask, tol: float = DEFAULT_TOL) -> Mask:
     disagreement beyond an internal tolerance indicates a bug, not bad input.
     Requires constant reproduction (the division must leave no remainder).
     """
-    if not reproduces_constants(m, tol):
+    if not reproduces_constants(m):
         even, odd = parity_sums(m)
         raise NotConstantReproducing(
             f"mask does not reproduce constants (parity sums {even!r}, {odd!r})"
@@ -215,18 +227,18 @@ def perturbation_mask(a: Mask) -> Mask:
     return a - LINEAR_BSPLINE
 
 
-def telescoped_mask(d: Mask, tol: float = DEFAULT_TOL) -> Mask:
+def telescoped_mask(d: Mask) -> Mask:
     """Factor the symbol as d(z) = (1 - z^2) * e(z) and return e.
 
     e[i] accumulates d over the descending even-spaced tail, so the support
     of e ends two indices before d's.  Both symbol values d(1) and d(-1)
-    must vanish within tol, otherwise the factorization has a remainder.
+    must vanish within TOL, otherwise the factorization has a remainder.
     """
     if d.is_zero:
         return d
     s1 = symbol_eval(d, 1.0)
     s2 = symbol_eval(d, -1.0)
-    if abs(s1) > tol or abs(s2) > tol:
+    if abs(s1) > TOL or abs(s2) > TOL:
         raise NotFactorable(
             f"symbol values at +-1 are {s1!r}, {s2!r}; cannot factor out (1 - z^2)"
         )
@@ -237,20 +249,19 @@ def telescoped_mask(d: Mask, tol: float = DEFAULT_TOL) -> Mask:
     # the symbol conditions force to ~0; they sit outside the provable
     # support and are dropped.
     tail_err = max(abs(v) for v in full[-2:])
-    if tail_err > max(tol * 1.0625, TRIM_TOL):
+    if tail_err > _TAIL_TOL:
         raise RuntimeError(
             f"telescoping residual {tail_err!r} exceeds tolerance despite "
             "symbol preconditions; internal inconsistency"
         )
     e = Mask(*_trimmed(d.base, full[:-2], TRIM_TOL))
-    check_tol = max(_RECONSTRUCT_TOL, tol * 1.0625)
     positions = set()
     if d.support:
         positions.update(range(d.support[0], d.support[1] + 1))
     if e.support:
         positions.update(range(e.support[0] + 2, e.support[1] + 3))
     for i in positions:
-        if abs(d[i] - (e[i] - e[i - 2])) > check_tol:
+        if abs(d[i] - (e[i] - e[i - 2])) > _RECONSTRUCT_TOL:
             raise RuntimeError(
                 f"telescoping identity failed at index {i}; internal inconsistency"
             )

@@ -247,7 +247,7 @@ class ContractionWitness:
         return asdict(self)
 
 
-def _contraction_cells(scheme, n_max: int, K_max: int, window: int, tol: float):
+def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
     """Yield the search's ``(n, K, mu, levels_checked)`` cells in contract
     order: product length n outer, start level K inner.
 
@@ -260,7 +260,7 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int, tol: float):
         raise InvalidParameter("n_max and window must be >= 1, K_max >= 0")
     k0 = scheme.k0
     if scheme.kind == "stationary":
-        q = scheme.difference_mask_at(k0, tol)
+        q = scheme.difference_mask_at(k0)
         for n in range(1, n_max + 1):
             yield n, k0, product_norm([q] * n), 1
         return
@@ -268,7 +268,7 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int, tol: float):
     last = k0 + K_max + window + n_max - 1
     if scheme.max_level is not None:
         last = min(last, scheme.max_level)
-    qs = {k: scheme.difference_mask_at(k, tol) for k in range(k0, last + 1)}
+    qs = {k: scheme.difference_mask_at(k) for k in range(k0, last + 1)}
     for n in range(1, n_max + 1):
         top_start = last - n + 1
         if top_start < k0:
@@ -289,7 +289,6 @@ def condition_a_search(
     n_max: int = 8,
     K_max: int = 32,
     window: int = 64,
-    tol: float = 1e-12,
 ) -> ContractionWitness:
     """Search for a contracting product of difference rules.
 
@@ -307,7 +306,7 @@ def condition_a_search(
     pair succeeds; the latter is inconclusive, not a disproof.
     """
     scan = []
-    for n, K, mu, checked in _contraction_cells(scheme, n_max, K_max, window, tol):
+    for n, K, mu, checked in _contraction_cells(scheme, n_max, K_max, window):
         if mu < 1.0:
             return ContractionWitness(
                 K=K, n=n, mu=mu, window=checked,
@@ -330,7 +329,6 @@ def contraction_scan(
     n_max: int = 8,
     K_max: int = 32,
     window: int = 64,
-    tol: float = 1e-12,
 ) -> list[tuple[int, int, float]]:
     """All (n, K, mu) cells the search would consider, without early exit.
 
@@ -339,5 +337,5 @@ def contraction_scan(
     """
     return [
         (n, K, mu)
-        for n, K, mu, _ in _contraction_cells(scheme, n_max, K_max, window, tol)
+        for n, K, mu, _ in _contraction_cells(scheme, n_max, K_max, window)
     ]

@@ -10,15 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, OutOfDomain
-from .masks import Mask, difference_mask, reproduces_constants
+from .masks import TOL, Mask, difference_mask, reproduces_constants
 from .operators import Window, apply, block_ranges
 from .schemes import ConvergenceCertificate, SchemeSpec
-
-# The two routes to the refined differences (difference of values vs the
-# difference rule applied to old differences) must agree this tightly,
-# relative to the largest old value once that exceeds 1: both routes round
-# in proportion to the size of the values.
-_COMMUTE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +78,21 @@ def refine_once(state: RefinementState, scheme: SchemeSpec) -> RefinementState:
     return RefinementState(state.level + 1, new_window)
 
 
+def _finite(value: float, what: str, level: int) -> float:
+    """``value``, refused when the data hold NaN or inf or overflowed."""
+    if not math.isfinite(value):
+        raise InvalidParameter(
+            f"the {what} at level {level} is {value!r}: the data hold NaN "
+            "or inf, or overflowed"
+        )
+    return value
+
+
 def _check_difference_rule(q: Mask, state: RefinementState, new: Window) -> None:
     """Compare ``apply(q, old differences)`` with the new differences at
-    every index where both are defined, one block of indices at a time."""
+    every index where both are defined, one block of indices at a time.
+    They may differ by TOL, times the largest old value once that exceeds
+    1; a non-finite difference is refused, not passed."""
     old = state.window
     if len(old) < 2:
         return
@@ -102,10 +108,11 @@ def _check_difference_rule(q: Mask, state: RefinementState, new: Window) -> None
         via = apply(q, old.span(j0 - 1, j1 + 1).diff())
         dev = via.span(a, b).values - new.span(a - 1, b).diff().values
         err = np.maximum(err, np.abs(dev, out=dev).max())
-    if err > _COMMUTE_TOL and err > _COMMUTE_TOL * old.sup():
+    err = _finite(float(err), "difference-rule error", state.level)
+    if err > TOL and err > TOL * old.sup():
         raise RuntimeError(
             f"difference rule disagrees with refined differences "
-            f"by {float(err)!r} at level {state.level}"
+            f"by {err!r} at level {state.level}"
         )
 
 
@@ -244,9 +251,11 @@ def decay_report(
 ) -> DecayReport:
     """Tabulate difference norms and interpolant gaps up to level k_max.
 
-    Divergence is a reported outcome, never an error.  With a certificate,
-    each level is checked against C1 * mu_hat**k * ||initial differences||
-    for the differences and Gamma * mu_hat**k * ... for the gaps.
+    Divergence is a reported outcome, never an error; data that hold NaN
+    or inf, or overflow, raise InvalidParameter naming the level.  With a
+    certificate, each level is checked against
+    C1 * mu_hat**k * ||initial differences|| for the differences and
+    Gamma * mu_hat**k * ... for the gaps.
     """
     if k_max < initial.level + 4:
         raise InvalidParameter("k_max must allow at least 4 levels")
@@ -255,11 +264,13 @@ def decay_report(
     levels = range(initial.level, k_max + 1)
     delta_list, gap_list = [], []
     s = initial
-    for _ in levels:
-        delta_list.append(s.delta_sup())
-        nxt = refine_once(s, scheme)
-        gap_list.append(pl_gap(s.window, nxt.window))
-        s = nxt
+    # every norm and gap is checked to be finite, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in levels:
+            delta_list.append(_finite(s.delta_sup(), "difference norm", s.level))
+            nxt = refine_once(s, scheme)
+            gap_list.append(_finite(pl_gap(s.window, nxt.window), "interpolant gap", s.level))
+            s = nxt
     ks = tuple(levels)
     delta_norms, cauchy_norms = tuple(delta_list), tuple(gap_list)
     rho = _fit_rate(ks, cauchy_norms)

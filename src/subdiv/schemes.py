@@ -19,7 +19,7 @@ from .errors import (
     SimilarityNotEstablished,
     TailNotReached,
 )
-from .masks import Mask, coeff_norm, difference_mask, sup_norm
+from .masks import DECAY_MARGIN, ROUND_TOL, TOL, Mask, coeff_norm, difference_mask, sup_norm
 from .operators import (
     ContractionWitness,
     compose_all,
@@ -83,11 +83,11 @@ class SchemeSpec:
             )
         return m
 
-    def difference_mask_at(self, k: int, tol: float) -> Mask:
+    def difference_mask_at(self, k: int) -> Mask:
         """Difference rule of the level-k mask.  A mask that does not
         reproduce constants raises NotConstantReproducing tagged with k."""
         try:
-            return difference_mask(self.mask_at(k), tol)
+            return difference_mask(self.mask_at(k))
         except NotConstantReproducing as exc:
             raise NotConstantReproducing(f"level {k}: {exc}", level=k) from None
 
@@ -124,19 +124,14 @@ def _default_locality(mask: Mask) -> int:
     return max(abs(sup[0]), abs(sup[1]))
 
 
-def stationary_scheme(
-    mask: Mask,
-    N: int | None = None,
-    name: str = "",
-    bound_hint: float | None = None,
-) -> SchemeSpec:
-    """Scheme applying the same mask at every level (k0 = 0)."""
+def stationary_scheme(mask: Mask, N: int | None = None, name: str = "") -> SchemeSpec:
+    """Scheme applying the same mask at every level (k0 = 0); its
+    ``bound_hint`` is the mask's own coefficient sup-norm, which is exact."""
     if N is None:
         N = _default_locality(mask)
-    hint = coeff_norm(mask) if bound_hint is None else bound_hint
     return SchemeSpec(
         kind="stationary", k0=0, N=N, mask_fn=lambda k: mask, name=name,
-        bound_hint=hint,
+        bound_hint=coeff_norm(mask),
     )
 
 
@@ -237,7 +232,6 @@ class SimilarityReport:
     decay_fit: tuple[float, float] | None
     analytic: bool
     N: int
-    tol: float
 
     @property
     def per_k_diff(self) -> list[tuple[int, float]]:
@@ -247,6 +241,7 @@ class SimilarityReport:
         d = asdict(self)
         for old, new in (("ks", "k"), ("diffs", "diff"), ("partial_sums", "partial_sum")):
             d[new] = d.pop(old)
+        d["tol"] = TOL
         return d
 
 
@@ -260,16 +255,16 @@ def _loglog_fit(ks: Sequence[int], vals: Sequence[float]) -> tuple[float, float]
     return float(np.exp(intercept)), float(slope)
 
 
-def _analytic_flags(a: SchemeSpec, b: SchemeSpec, tol: float) -> AnalyticSimilarity | None:
+def _analytic_flags(a: SchemeSpec, b: SchemeSpec) -> AnalyticSimilarity | None:
     """a's closed-form decay flags, when b is stationary with a's base mask."""
     if a.analytic is None or b.kind != "stationary" or not a.analytic.eps_is_o1:
         return None
-    if coeff_norm(b.mask_at(b.k0) - a.analytic.base_mask) <= tol:
+    if coeff_norm(b.mask_at(b.k0) - a.analytic.base_mask) <= TOL:
         return a.analytic
     return None
 
 
-def _shared_base(a: SchemeSpec, b: SchemeSpec, tol: float) -> bool:
+def _shared_base(a: SchemeSpec, b: SchemeSpec) -> bool:
     """Both schemes decay in closed form to the same stationary base, so
     they are similar to each other by the triangle inequality."""
     return (
@@ -277,7 +272,7 @@ def _shared_base(a: SchemeSpec, b: SchemeSpec, tol: float) -> bool:
         and b.analytic is not None
         and a.analytic.eps_is_o1
         and b.analytic.eps_is_o1
-        and coeff_norm(a.analytic.base_mask - b.analytic.base_mask) <= tol
+        and coeff_norm(a.analytic.base_mask - b.analytic.base_mask) <= TOL
     )
 
 
@@ -285,13 +280,12 @@ def similarity_report(
     a: SchemeSpec,
     b: SchemeSpec,
     k_range: tuple[int, int],
-    tol: float = 1e-12,
     N: int | None = None,
 ) -> SimilarityReport:
     """Per-level sup differences of the two mask families, with verdicts.
 
     The numeric 'yes' requires the last quarter of the window to sit below
-    tol and not increase; 'no' requires the differences to stay above tol
+    TOL and not increase; 'no' requires the differences to stay above TOL
     with no decay trend; anything else is inconclusive, because a finite
     window cannot prove a limit.  Catalog schemes whose perturbation decay
     is known in closed form short-circuit to analytic verdicts.
@@ -325,32 +319,32 @@ def similarity_report(
 
     # Numeric trend verdicts; closed-form knowledge may override below.
     nonincreasing = all(
-        tail[i + 1] <= tail[i] + 1e-15 for i in range(len(tail) - 1)
+        tail[i + 1] <= tail[i] + ROUND_TOL for i in range(len(tail) - 1)
     )
-    trending_down = tail[0] > 0 and tail[-1] < tail[0] * (1 - 1e-9)
-    if max(tail) <= tol and nonincreasing:
+    trending_down = tail[0] > 0 and tail[-1] < tail[0] * (1 - DECAY_MARGIN)
+    if max(tail) <= TOL and nonincreasing:
         similar = "yes"
-    elif min(diffs) > tol and not trending_down:
+    elif min(diffs) > TOL and not trending_down:
         similar = "no"
     else:
         similar = "inconclusive"
-    if psums[-1] - psums[count - quarter] <= tol:
+    if psums[-1] - psums[count - quarter] <= TOL:
         equivalent = "summable"
     else:
         octave_from = max(ks[0], (ks[-1] + 1) // 2)
         idx = next(i for i, k in enumerate(ks) if k >= octave_from)
         equivalent = (
-            "not-summable-in-window" if psums[-1] - psums[idx] > tol
+            "not-summable-in-window" if psums[-1] - psums[idx] > TOL
             else "inconclusive"
         )
 
     analytic = False
-    flags = _analytic_flags(a, b, tol) or _analytic_flags(b, a, tol)
+    flags = _analytic_flags(a, b) or _analytic_flags(b, a)
     if flags is not None:
         similar = "yes"
         equivalent = "summable" if flags.eps_summable else "not-summable-in-window"
         analytic = True
-    elif _shared_base(a, b, tol):
+    elif _shared_base(a, b):
         similar = "yes"
         analytic = True
         if a.analytic.eps_summable and b.analytic.eps_summable:
@@ -361,13 +355,13 @@ def similarity_report(
     return SimilarityReport(
         ks=tuple(ks), diffs=tuple(diffs), partial_sums=tuple(psums),
         similar=similar, equivalent=equivalent, decay_fit=fit,
-        analytic=analytic, N=N, tol=tol,
+        analytic=analytic, N=N,
     )
 
 
-def _product_op(scheme: SchemeSpec, k: int, n: int, tol: float):
+def _product_op(scheme: SchemeSpec, k: int, n: int):
     """Composed operator of the difference rules for levels k .. k+n-1."""
-    return compose_all([scheme.difference_mask_at(k + n - 1 - j, tol) for j in range(n)])
+    return compose_all([scheme.difference_mask_at(k + n - 1 - j) for j in range(n)])
 
 
 def _transfer(
@@ -375,7 +369,6 @@ def _transfer(
     comparator: SchemeSpec,
     witness_star: ContractionWitness,
     k_range: tuple[int, int],
-    tol: float,
     mu: float | None,
 ) -> tuple[ContractionWitness, dict]:
     mu_star, n = witness_star.mu, witness_star.n
@@ -402,8 +395,8 @@ def _transfer(
 
     # Constant reproduction on every scanned target level, checked before
     # similarity so the failure reported first is the binding one.
-    target_q = {k: target.difference_mask_at(k, tol) for k in range(k_lo, k_hi + n)}
-    sim = similarity_report(target, comparator, (k_lo, k_hi), tol)
+    target_q = {k: target.difference_mask_at(k) for k in range(k_lo, k_hi + n)}
+    sim = similarity_report(target, comparator, (k_lo, k_hi))
     if sim.similar != "yes":
         raise SimilarityNotEstablished(
             f"similarity verdict over levels [{k_lo}, {k_hi}] was "
@@ -413,13 +406,13 @@ def _transfer(
     # Products are compared start level against start level; a stationary
     # comparator has one product for all of them.
     stationary_comp = comparator.kind == "stationary"
-    comp_op = _product_op(comparator, comparator.k0, n, tol) if stationary_comp else None
+    comp_op = _product_op(comparator, comparator.k0, n) if stationary_comp else None
     arity = 2 ** n
     diffs = []
     tnorms = []
     for k in range(k_lo, k_hi + 1):
         t_op = compose_all([target_q[k + n - 1 - j] for j in range(n)])
-        c_op = comp_op if stationary_comp else _product_op(comparator, k, n, tol)
+        c_op = comp_op if stationary_comp else _product_op(comparator, k, n)
         diffs.append(residue_class_norm(t_op.mask - c_op.mask, arity))
         tnorms.append(residue_class_norm(t_op.mask, arity))
 
@@ -441,7 +434,7 @@ def _transfer(
 
     K = max(witness_star.K, k_tilde)
     checked = [t for k, t in zip(range(k_lo, k_hi + 1), tnorms) if k >= K]
-    if checked and max(checked) > mu + 1e-12:
+    if checked and max(checked) > mu + TOL:
         raise RuntimeError(
             "transferred bound violated by a computed product norm; "
             "internal inconsistency"
@@ -466,7 +459,6 @@ def transfer_condition_a(
     comparator: SchemeSpec,
     witness_star: ContractionWitness,
     k_range: tuple[int, int],
-    tol: float = 1e-12,
     mu: float | None = None,
 ) -> ContractionWitness:
     """Carry a comparator's contraction over to an asymptotically similar
@@ -479,21 +471,21 @@ def transfer_condition_a(
     Raises SimilarityNotEstablished or TailNotReached when the window does
     not support the transfer; both are inconclusive outcomes.
     """
-    witness, _ = _transfer(target, comparator, witness_star, k_range, tol, mu)
+    witness, _ = _transfer(target, comparator, witness_star, k_range, mu)
     return witness
 
 
-def _prefix_norm(masks_desc: list[Mask], cap: int = _EXACT_PRODUCT_CAP) -> tuple[float, bool]:
+def _prefix_norm(masks_desc: list[Mask]) -> tuple[float, bool]:
     """Norm of the composed product (first list entry acts last).
 
     Exact when the product is short enough to expand; otherwise an upper
     bound from submultiplicativity over consecutive chunks.
     """
-    if len(masks_desc) <= cap:
+    if len(masks_desc) <= _EXACT_PRODUCT_CAP:
         return product_norm(masks_desc), True
     total = 1.0
-    for i in range(0, len(masks_desc), cap):
-        total *= product_norm(masks_desc[i : i + cap])
+    for i in range(0, len(masks_desc), _EXACT_PRODUCT_CAP):
+        total *= product_norm(masks_desc[i : i + _EXACT_PRODUCT_CAP])
     return total, False
 
 
@@ -580,7 +572,6 @@ def certify_theorem4(
     comparator: SchemeSpec,
     eta: float | None = None,
     k_range: tuple[int, int] | None = None,
-    tol: float = 1e-12,
     mu: float | None = None,
     n_max: int = 8,
 ) -> ConvergenceCertificate:
@@ -607,7 +598,7 @@ def certify_theorem4(
     """
     if comparator.kind != "stationary":
         raise InvalidParameter("comparator must be a stationary scheme")
-    witness_star = condition_a_search(comparator, n_max=n_max, tol=tol)
+    witness_star = condition_a_search(comparator, n_max=n_max)
     mu_star, n = witness_star.mu, witness_star.n
     stationary_target = target.kind == "stationary"
 
@@ -624,14 +615,12 @@ def certify_theorem4(
 
     if k_range is None:
         k_range = (target.k0, target.k0 + 63)
-    witness, transfer_meta = _transfer(
-        target, comparator, witness_star, k_range, tol, mu
-    )
+    witness, transfer_meta = _transfer(target, comparator, witness_star, k_range, mu)
     K, mu_used = witness.K, witness.mu
     mu_hat = mu_used ** (1.0 / n)
     if eta is None:
         eta = mu_hat
-    elif eta < mu_hat - 1e-15:
+    elif eta < mu_hat - ROUND_TOL:
         raise EtaOutOfRange(
             f"eta = {eta!r} undercuts the certified rate mu**(1/n) = {mu_hat!r}"
         )
@@ -643,7 +632,7 @@ def certify_theorem4(
     best = 1.0
     c1_exact = True
     for m_level in range(target.k0 + 1, K + n):
-        prefix.insert(0, target.difference_mask_at(m_level - 1, tol))
+        prefix.insert(0, target.difference_mask_at(m_level - 1))
         norm_m, was_exact = _prefix_norm(prefix)
         c1_exact = c1_exact and was_exact
         best = max(best, norm_m)
@@ -667,7 +656,7 @@ def certify_theorem4(
                 and coeff_norm(
                     target.mask_at(target.k0) - comparator.mask_at(comparator.k0)
                 )
-                <= tol
+                <= TOL
             ),
         }
     )

@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import subdiv
+from subdiv import cli
 from subdiv.cli import main
 
 
@@ -205,6 +207,109 @@ def test_figure2(tmp_path, capsys):
     assert levels == {"9", "13", "17"}
     assert sha256(out) == "a5c850a87596eccc160745c182cb6bb3f6994a290be6d6e42ec3f10e31b0c3f7"
     assert "do not decay" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code, digests", [
+    pytest.param(
+        ["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--k-range", "1:12",
+         "--out", "report.json", "--verbose"], 0,
+        {"report.json": "1792be2e413248d74607c5e16530201b00f8d6be4c1cdd290558b9bf177c1bc7"},
+        id="analyze-verbose"),
+    pytest.param(
+        ["compare", "--scheme", "derham:gamma=2,alpha=1.5",
+         "--comparator", "derham_stationary:gamma=2", "--k-range", "1:256", "--out", "cmp"], 0,
+        {"cmp.json": "d52ae40bd0ed760487f84ddf006a7d755dcfc8001991b1d05a899c30f2a64f4d",
+         "cmp.csv": "dbeb027dbbf4d79b5ffa066a58a03ee956e673698a10edfd4c8389a14770cbf3"},
+        id="compare"),
+    pytest.param(
+        ["certify", "--scheme", "derham:gamma=1.5,alpha=2.5",
+         "--comparator", "derham_stationary:gamma=1.5", "--out", "cert.json"], 0,
+        {"cert.json": "39eb0d59827d4e1e5ec52f68a4bb4b22537c8b7c0ee5210650347974f81b7814"},
+        id="certify"),
+    pytest.param(
+        ["certify", "--scheme", "perturbed_chaikin", "--comparator", "chaikin",
+         "--out", "fail.json"], 3,
+        {"fail.json": "f73f402bcb8c9a0ea221309286592da4aa83d2c64892aa5d9e924ad0c2acf0f7"},
+        id="certify-exit3"),
+])
+def test_json_golden_digests(argv, code, digests, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == code
+    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == digests
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["refine", "--scheme", "chaikin", "--tol", "1e-9"], id="refine-tol"),
+    pytest.param(["refine", "--scheme", "chaikin", "--k-range", "0:8"], id="refine-k-range"),
+    pytest.param(["compare", "--scheme", "chaikin", "--comparator", "chaikin", "--verbose"],
+                 id="compare-verbose"),
+    pytest.param(["figure", "2", "--verbose"], id="figure2-verbose"),
+    pytest.param(["analyze", "--scheme", "chaikin", "--format", "json"], id="analyze-format"),
+])
+def test_removed_options_exit2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, code", [
+    pytest.param([float("nan")], 2, id="nan"),
+    pytest.param([float("inf")], 2, id="inf"),
+    pytest.param([1e308, -1e308], 3, id="adjacent-1e308"),
+    pytest.param([1.7e308], 3, id="single-1.7e308"),
+])
+def test_refine_non_finite_initial(values, code, tmp_path, capsys):
+    """NaN and inf are refused on load; data that overflow while refining
+    are refused at the level where a norm or gap leaves the floats."""
+    data = tmp_path / "window.json"
+    data.write_text(json.dumps({"start": -4, "values": [0, 0, 0, 1, *values, 0, 0, 0],
+                                "level": 0}))
+    assert run(["refine", "--scheme", "chaikin", "--levels", "6",
+                "--initial", str(data)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert "initial values must be finite" in captured.err
+    else:
+        reason = json.loads(captured.out)["reason"]
+        assert reason["type"] == "InvalidParameter"
+        assert " at level " in reason["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["refine", "--scheme", "chaikin", "--levels", "60"], id="refine-levels"),
+    pytest.param(["refine", "--scheme", "chaikin", "--halfwidth", str(10**12)],
+                 id="refine-halfwidth"),
+    pytest.param(["refine", "--scheme", "chaikin", "--levels", "60",
+                  "--initial", "window.json"], id="refine-initial"),
+    pytest.param(["figure", "1", "--levels", "60"], id="figure1-levels"),
+    pytest.param(["figure", "2", "--halfwidth", str(10**12), "--out", "fig2.csv"],
+                 id="figure2-halfwidth"),
+])
+def test_memory_budget_refusal(argv, tmp_path, monkeypatch, capsys):
+    """A run whose windows would outgrow the memory budget exits 3 before
+    it allocates them."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "window.json").write_text(json.dumps(VALID_INITIAL))
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2**20
+    assert "memory budget" in capsys.readouterr().err
+    assert not (tmp_path / "fig2.csv").exists()
+
+
+def test_memory_budget_admits_benchmark_runs():
+    """The budget admits the deepest runs of the benchmark session, at the
+    default halfwidth 8 (17 values), with a margin of 4x: refine --levels 16,
+    figure 1 --levels 14 --out and figure 2 --out (which refines to 17)."""
+    for levels, per_value in ((16, cli._ARRAY_BYTES), (14, cli._ROW_BYTES),
+                              (17, cli._ROW_BYTES)):
+        cli._check_memory(4 * 17, 1, levels, per_value)
 
 
 def test_bad_scheme_exit2(capsys):

@@ -4,6 +4,7 @@ import pytest
 from subdiv.errors import NotConstantReproducing, NotFactorable
 from subdiv.masks import (
     LINEAR_BSPLINE,
+    TOL,
     Mask,
     coeff_norm,
     difference_mask,
@@ -77,11 +78,15 @@ def test_reproduces_constants():
         even, odd = parity_sums(m)
         assert even == pytest.approx(1.0 + 2.0 / k, abs=1e-15)
         assert odd == pytest.approx(1.0 + 2.0 / k, abs=1e-15)
-
-
-def test_reproduces_constants_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        reproduces_constants(CHAIKIN0, tol=-1.0)
+    # TOL is the threshold at each symbol value: half of it passes, twice fails
+    for scale, ok in ((0.5, True), (2.0, False)):
+        d = scale * TOL
+        off_at_one = Mask(0, (0.25 + d / 2, 0.75 + d / 2, 0.75, 0.25))
+        off_at_minus_one = Mask(0, (0.25 + d / 2, 0.75 - d / 2, 0.75, 0.25))
+        assert symbol_eval(off_at_one, 1.0) - 2.0 == pytest.approx(d, rel=1e-3)
+        assert symbol_eval(off_at_minus_one, -1.0) == pytest.approx(d, rel=1e-3)
+        assert reproduces_constants(off_at_one) is ok
+        assert reproduces_constants(off_at_minus_one) is ok
 
 
 def test_difference_mask_examples():

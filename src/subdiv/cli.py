@@ -10,10 +10,11 @@ Identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import catalog, refine
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     TailNotReached,
 )
 from .masks import difference_mask, parity_sums, reproduces_constants, sup_norm
-from .operators import condition_a_search, contraction_scan
+from .operators import block_ranges, check_budget, condition_a_search, contraction_scan
 from .schemes import (
     ConvergenceCertificate,
     boundedness_estimate,
@@ -41,11 +42,11 @@ EXIT_INCONCLUSIVE = 4
 FIGURE1_ALPHAS = (2.5, 1.5, 0.5, -0.5, -1.5)
 FIGURE2_ITERATIONS = (8, 12, 16)
 
-# A refine or figure run whose estimated memory exceeds this many bytes is
-# refused before it allocates anything (exit 3).  The estimate counts the
-# windows' arrays at about 1.5 x 8 bytes a value, or the rows at about 64
-# bytes a value when figure --out holds them as Python objects.
-MEMORY_BUDGET = 2**30
+# A refine or figure run whose estimated memory exceeds
+# operators.MEMORY_BUDGET is refused before it allocates anything (exit 3).
+# The estimate counts the windows' arrays at about 1.5 x 8 bytes a value,
+# and 64 bytes a value for figure --out: a margin over the three traces it
+# keeps for its CSV.
 _ARRAY_BYTES = 12
 _ROW_BYTES = 64
 
@@ -69,12 +70,28 @@ def _emit_json(obj: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _cells(column) -> list[str]:
+    """The CSV fields of a column: each value's repr, or "" for None."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    if None in values:
+        return ["" if v is None else repr(v) for v in values]
+    return list(map(repr, values))
+
+
+def _write_csv(path: str, header: list[str], blocks) -> None:
+    """Write CSV with the bytes ``csv.writer`` gives for these fields.
+
+    ``blocks`` yields tuples of equal-length columns (sequences or arrays
+    of numbers).  They are written by column, one join per run of at most
+    ``block_ranges``' rows, so no more than one run's strings and Python
+    numbers are alive at a time.
+    """
+    row = ",".join(["{}"] * len(header)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            for a, b in block_ranges(0, len(columns[0])):
+                fh.write("".join(map(row.format, *(_cells(c[a:b]) for c in columns))))
 
 
 def _reason(exc: Exception) -> dict:
@@ -199,7 +216,7 @@ def cmd_compare(args) -> int:
         _write_csv(
             args.out + ".csv",
             ["k", "diff", "partial_sum"],
-            zip(report.ks, report.diffs, report.partial_sums),
+            [(report.ks, report.diffs, report.partial_sums)],
         )
     return EXIT_OK
 
@@ -229,15 +246,12 @@ def cmd_certify(args) -> int:
 
 def _check_memory(length: int, level: int, levels: int, per_value: int) -> None:
     """Refuse to refine ``length`` values at ``level`` up to ``levels`` when
-    the estimate exceeds MEMORY_BUDGET.  Each level doubles a window, so
+    the estimate exceeds the memory budget.  Each level doubles a window, so
     the run reaches at most length * 2**(levels - level + 1) values."""
-    need = per_value * length << min(max(levels - level + 1, 0), 64)
-    if need > MEMORY_BUDGET:
-        raise InvalidParameter(
-            f"refining {length} values from level {level} to level {levels} "
-            f"needs about {need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB "
-            "memory budget"
-        )
+    check_budget(
+        per_value * length << min(max(levels - level + 1, 0), 64),
+        f"refining {length} values from level {level} to level {levels}",
+    )
 
 
 def _initial_state(args, scheme) -> refine.RefinementState:
@@ -290,7 +304,7 @@ def cmd_refine(args) -> int:
         print(f"certified bounds hold: {report.bounds_hold}")
     if args.out:
         _write_csv(args.out, ["k", "delta_norm", "cauchy_norm", "bound"],
-                   report.rows())
+                   [tuple(zip(*report.rows()))])
     return EXIT_OK
 
 
@@ -314,8 +328,7 @@ def cmd_figure(args) -> int:
             peaks.append((alpha, sample.peak))
             if args.out:
                 path = f"{args.out}_alpha_{alpha:+.1f}.csv"
-                _write_csv(path, ["x", "value"],
-                           zip(sample.xs.tolist(), sample.values.tolist()))
+                _write_csv(path, ["x", "value"], [(sample.xs, sample.values)])
         for alpha, peak in peaks:
             print(f"alpha = {alpha:+.1f}: peak = {peak!r}")
         return EXIT_OK
@@ -337,14 +350,10 @@ def cmd_figure(args) -> int:
         print("hint: enlarge --halfwidth", file=sys.stderr)
         return EXIT_PRECONDITION
     if args.out:
-        rows = []
-        for step in FIGURE2_ITERATIONS:
-            st = traces[step]
-            rows.extend(
-                (st.level, x, v)
-                for x, v in zip(st.xs().tolist(), st.window.values.tolist())
-            )
-        _write_csv(args.out, ["k", "x", "value"], rows)
+        _write_csv(args.out, ["k", "x", "value"], (
+            (np.full(len(st.window), st.level), st.xs(), st.window.values)
+            for st in map(traces.get, FIGURE2_ITERATIONS)
+        ))
     print(f"interpolant gaps per step: first {gaps[0]!r}, last {gaps[-1]!r}")
     if gaps[-1] >= gaps[0]:
         print("gaps do not decay: no Cauchy behaviour in this window")

@@ -75,6 +75,27 @@ class Window:
         return f"Window(start={self.start}, n={len(self.values)})"
 
 
+# A request whose estimated memory exceeds this many bytes is refused with
+# InvalidParameter before it allocates anything (the CLI's exit 3).
+MEMORY_BUDGET = 2**30
+# Peak bytes per coefficient while a product of n rules of a scheme with
+# locality N is composed and its norm taken, counting the product as
+# 2N * 2**n coefficients.  tracemalloc measured about 14 for product_norm
+# of Chaikin's difference rule; the margin covers the Mask tuples that the
+# transfer builds from such products.
+_PRODUCT_BYTES = 64
+
+
+def check_budget(need: int, request: str) -> None:
+    """Refuse ``request`` when its estimated ``need`` in bytes exceeds
+    MEMORY_BUDGET."""
+    if need > MEMORY_BUDGET:
+        raise InvalidParameter(
+            f"{request} needs about {need >> 20} MiB, over the "
+            f"{MEMORY_BUDGET >> 20} MiB memory budget"
+        )
+
+
 # Values per block in the blocked passes over a window: input values in
 # ``apply``, indices in the per-level scans of ``refine``.  The only
 # window-sized arrays a pass keeps alive are the ones it reads and writes;
@@ -180,20 +201,74 @@ class ProductOperator:
         return apply(self.mask, f, self.arity)
 
 
+def compose_coeffs(
+    outer: tuple[int, Sequence[float]], inner: tuple[int, Sequence[float]], arity: int
+) -> tuple[int, np.ndarray]:
+    """Stencil ``(base, coeffs)`` of outer(z) * inner(z**arity), the one
+    composition kernel of the library.
+
+    Exact-zero ends are trimmed as ``Mask`` trims them, so a stencil built
+    here holds the same floats as the ``Mask`` that ``compose`` builds.
+    """
+    (o_base, o), (i_base, i) = outer, inner
+    if not len(o) or not len(i):
+        return 0, np.zeros(0)
+    up = np.zeros(arity * (len(i) - 1) + 1)
+    up[::arity] = i
+    coeffs = np.convolve(o, up)
+    # The end coefficients are products of end coefficients, so with
+    # trimmed factors these loops stop at once unless a product underflows.
+    lo, hi = 0, len(coeffs)
+    while lo < hi and coeffs[lo] == 0.0:
+        lo += 1
+    while hi > lo and coeffs[hi - 1] == 0.0:
+        hi -= 1
+    if lo == hi:
+        return 0, coeffs[:0]
+    return o_base + arity * i_base + lo, coeffs[lo:hi]
+
+
+def _stencil(m: Mask) -> tuple[int, Sequence[float]]:
+    """A mask as a ``(base, coeffs)`` stencil.  Stencils hold a mask's tuple
+    or, once composed, the kernel's array."""
+    return m.base, m.coeffs
+
+
+def _floats(coeffs: Sequence[float]) -> Sequence[float]:
+    """A stencil's coefficients as Python floats."""
+    return coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
+
+
+# Stencils up to this long take their class sums in a Python loop, which
+# beats the fixed cost of the numpy calls on the short rules and products
+# of the contraction search and the transfer.
+_SHORT_STENCIL = 32
+
+
+def _class_norm(stencil: tuple[int, Sequence[float]], arity: int) -> float:
+    """``residue_class_norm`` of a stencil.  The loop and ``np.bincount``
+    both add the weights of a class in index order, so they give the same
+    sums bit for bit."""
+    base, coeffs = stencil
+    if len(coeffs) > _SHORT_STENCIL:
+        classes = np.arange(base, base + len(coeffs)) % arity
+        return float(np.bincount(classes, np.abs(coeffs)).max())
+    sums = [0.0] * arity
+    for p, c in enumerate(_floats(coeffs), base):
+        sums[p % arity] += abs(c)
+    return max(sums)
+
+
 def compose(outer: ProductOperator, inner: ProductOperator) -> ProductOperator:
     """Collapse outer . inner (inner acts first) into one operator.
 
     The combined symbol is outer(z) * inner(z**A) with A the outer arity;
     arities multiply.
     """
-    if outer.mask.is_zero or inner.mask.is_zero:
-        return ProductOperator(Mask(), outer.levels + inner.levels)
-    arity = outer.arity
-    up = np.zeros(arity * (len(inner.mask) - 1) + 1)
-    up[::arity] = inner.mask.coeffs
-    coeffs = np.convolve(np.asarray(outer.mask.coeffs), up)
-    base = outer.mask.base + arity * inner.mask.base
-    return ProductOperator(Mask(base, tuple(coeffs)), outer.levels + inner.levels)
+    base, coeffs = compose_coeffs(
+        _stencil(outer.mask), _stencil(inner.mask), outer.arity
+    )
+    return ProductOperator(Mask(base, tuple(_floats(coeffs))), outer.levels + inner.levels)
 
 
 def residue_class_norm(m: Mask, arity: int) -> float:
@@ -204,26 +279,47 @@ def residue_class_norm(m: Mask, arity: int) -> float:
     """
     if arity < 1:
         raise InvalidParameter("arity must be positive")
-    sums = [0.0] * arity
-    for p, c in enumerate(m.coeffs):
-        sums[(m.base + p) % arity] += abs(c)
-    return max(sums) if sums else 0.0
+    return _class_norm(_stencil(m), arity)
+
+
+def _products(masks: Sequence[Mask]):
+    """Yield the stencils of the products of the first 1, 2, ... arity-2
+    rules, the FIRST mask acting first: each next rule is composed onto the
+    held product as the outer factor, q(z) * P(z**2)."""
+    held = None
+    for m in masks:
+        held = _stencil(m) if held is None else compose_coeffs(_stencil(m), held, 2)
+        yield held
+
+
+def _product(masks: Sequence[Mask]) -> tuple[int, Sequence[float]]:
+    """Stencil of the composed product; the last mask acts first."""
+    if not masks:
+        raise InvalidParameter("empty operator product")
+    for held in _products(masks[::-1]):
+        pass
+    return held
 
 
 def compose_all(masks: Sequence[Mask]) -> ProductOperator:
     """Compose arity-2 rules; the LAST mask in the list acts first."""
-    if not masks:
-        raise InvalidParameter("empty operator product")
-    op = ProductOperator(masks[-1], 1)
-    for m in masks[-2::-1]:
-        op = compose(ProductOperator(m, 1), op)
-    return op
+    if len(masks) == 1:
+        return ProductOperator(masks[0])
+    base, coeffs = _product(masks)
+    return ProductOperator(Mask(base, tuple(_floats(coeffs))), len(masks))
 
 
 def product_norm(masks: Sequence[Mask]) -> float:
     """Sup-norm of the composed operator; the last mask acts first."""
-    op = compose_all(masks)
-    return residue_class_norm(op.mask, op.arity)
+    return _class_norm(_product(masks), 2 ** len(masks))
+
+
+def prefix_norms(masks: Sequence[Mask]) -> list[float]:
+    """Sup-norms of the products of the first 1, 2, ..., len(masks) rules,
+    the FIRST mask acting first.  The product is held and each rule is
+    composed on once, so entry j equals ``product_norm(masks[j::-1])``
+    bit for bit."""
+    return [_class_norm(p, 2**j) for j, p in enumerate(_products(masks), 1)]
 
 
 @dataclass(frozen=True)
@@ -258,6 +354,11 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
     """
     if n_max < 1 or window < 1 or K_max < 0:
         raise InvalidParameter("n_max and window must be >= 1, K_max >= 0")
+    # an n-fold product stencil holds about len(q) * 2**n coefficients
+    check_budget(
+        _PRODUCT_BYTES * 2 * scheme.N << min(n_max, 64),
+        f"products of up to {n_max} difference rules",
+    )
     k0 = scheme.k0
     if scheme.kind == "stationary":
         q = scheme.difference_mask_at(k0)

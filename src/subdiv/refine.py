@@ -4,6 +4,7 @@ that convergence certificates promise."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -13,6 +14,34 @@ from .errors import InvalidParameter, OutOfDomain
 from .masks import TOL, Mask, difference_mask, reproduces_constants
 from .operators import Window, apply, block_ranges
 from .schemes import ConvergenceCertificate, SchemeSpec
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+# decay_report releases the free heap before its deepest level only when
+# that level's window is at least this large: glibc's largest mmap
+# threshold on 64-bit, so the window is mmapped and cannot reuse the freed
+# heap.  For a level-12 run on a 2-vCPU VM the page faults after a release
+# cost 0.7 ms of its 4.1 ms, for less than a megabyte handed back.
+_RELEASE_BYTES = 32 * 2**20
+
+
+def _release_free_heap() -> None:
+    """Hand the free heap back to the system, where glibc's malloc_trim is
+    available.
+
+    The windows of the shallower levels live on the heap, since glibc's
+    mmap threshold rises once a larger window has been freed.  When the
+    deepest level of a level-20 run allocates, about 60 MB of them lie
+    free at the heap top, right at glibc's dynamic trim threshold: whether
+    glibc handed them back depended on incidental heap layout (even the
+    length of the path the package was imported from), and moved the peak
+    RSS between 217 and 274 MB.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +297,10 @@ def decay_report(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in levels:
             delta_list.append(_finite(s.delta_sup(), "difference norm", s.level))
+            if s.level == k_max and s.window.values.nbytes >= _RELEASE_BYTES:
+                # once a run: each release costs page faults when the heap
+                # grows again
+                _release_free_heap()
             nxt = refine_once(s, scheme)
             gap_list.append(_finite(pl_gap(s.window, nxt.window), "interpolant gap", s.level))
             s = nxt

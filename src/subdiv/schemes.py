@@ -24,6 +24,7 @@ from .operators import (
     ContractionWitness,
     compose_all,
     condition_a_search,
+    prefix_norms,
     product_norm,
     residue_class_norm,
 )
@@ -475,18 +476,26 @@ def transfer_condition_a(
     return witness
 
 
-def _prefix_norm(masks_desc: list[Mask]) -> tuple[float, bool]:
-    """Norm of the composed product (first list entry acts last).
+def _c1_prefix(target: SchemeSpec, stop: int) -> tuple[float, bool]:
+    """C1's worst prefix norm and whether it is exact: the largest norm, and
+    at least 1, of the products of the target's difference rules on levels
+    k0 .. m - 1 for every m up to ``stop``.
 
-    Exact when the product is short enough to expand; otherwise an upper
-    bound from submultiplicativity over consecutive chunks.
+    A product of at most ``_EXACT_PRODUCT_CAP`` rules is expanded exactly.
+    A longer one is bounded by submultiplicativity over chunks of that many
+    levels, counted from its newest level: the oldest chunk is a shorter
+    exact prefix, and every other one is the run of levels ending at its
+    newest level.  So ``chunk[t]``, the norm of the run of up to the cap
+    ending at level k0 + t, is composed once and shared by every product
+    that uses it.
     """
-    if len(masks_desc) <= _EXACT_PRODUCT_CAP:
-        return product_norm(masks_desc), True
-    total = 1.0
-    for i in range(0, len(masks_desc), _EXACT_PRODUCT_CAP):
-        total *= product_norm(masks_desc[i : i + _EXACT_PRODUCT_CAP])
-    return total, False
+    qs = [target.difference_mask_at(k) for k in range(target.k0, stop)]
+    cap = _EXACT_PRODUCT_CAP
+    chunk = prefix_norms(qs[:cap]) + [
+        product_norm(qs[t : t - cap : -1]) for t in range(cap, len(qs))
+    ]
+    best = max([1.0, *(math.prod(chunk[t::-cap]) for t in range(len(qs)))])
+    return best, len(qs) <= cap
 
 
 @dataclass(frozen=True)
@@ -628,14 +637,7 @@ def certify_theorem4(
     # Start-up constant: the worst prefix product of the target's
     # difference rules before level K + n - 1, inflated by mu_hat's
     # deficit over those levels.
-    prefix: list[Mask] = []
-    best = 1.0
-    c1_exact = True
-    for m_level in range(target.k0 + 1, K + n):
-        prefix.insert(0, target.difference_mask_at(m_level - 1))
-        norm_m, was_exact = _prefix_norm(prefix)
-        c1_exact = c1_exact and was_exact
-        best = max(best, norm_m)
+    best, c1_exact = _c1_prefix(target, K + n - 1)
     C1 = best / mu_hat ** (K + n - 1)
 
     bound = boundedness_estimate(target, (transfer_meta["k_lo"], transfer_meta["k_hi"]))

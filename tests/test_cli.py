@@ -303,6 +303,27 @@ def test_memory_budget_refusal(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "fig2.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "--scheme", "chaikin", "--verbose", "--n-max", "60"],
+                 id="analyze-verbose"),
+    pytest.param(["certify", "--scheme", "derham:gamma=2,alpha=1.5",
+                  "--comparator", "derham_stationary:gamma=2", "--n-max", "60"],
+                 id="certify"),
+])
+def test_n_max_budget_refusal(argv, capsys):
+    """An n-fold product stencil holds about len(q) * 2**n coefficients, so
+    an exponential --n-max exits 3 before any product is composed."""
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2**20
+    assert "memory budget" in capsys.readouterr().err
+
+
 def test_memory_budget_admits_benchmark_runs():
     """The budget admits the deepest runs of the benchmark session, at the
     default halfwidth 8 (17 values), with a margin of 4x: refine --levels 16,

@@ -301,6 +301,17 @@ def test_contraction_scan_consistent(scheme):
     )
 
 
+@pytest.mark.parametrize("search", [condition_a_search, contraction_scan])
+def test_search_refuses_exponential_n_max(search):
+    """Products of n rules hold about len(q) * 2**n coefficients: an n_max
+    past the memory budget is refused before anything is composed, and the
+    default n_max = 8 is admitted."""
+    for n_max in (23, 60, 10**9):
+        with pytest.raises(InvalidParameter, match="memory budget"):
+            search(catalog.chaikin(), n_max=n_max)
+    assert search(catalog.chaikin())
+
+
 def test_condition_a_search_clamps_to_table():
     table = [1.5 / k for k in range(1, 13)]
     scheme = catalog.derham_nonstationary(2.0, eps=table, k0=1)

@@ -1,0 +1,103 @@
+"""Property tests of the composition algebra over random constant-
+reproducing masks, drawn by hypothesis.
+
+Each mask is (1 + z) times a random polynomial with value 1 at z = 1, so it
+reproduces constants.  The runs are derandomized, so the suite draws the
+same examples every time.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subdiv.masks import Mask, coeff_norm, symbol_eval
+from subdiv.operators import (
+    ProductOperator,
+    Window,
+    apply,
+    compose,
+    compose_all,
+    product_norm,
+    residue_class_norm,
+)
+
+derandomized = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def cr_masks(draw) -> Mask:
+    head = draw(st.lists(st.floats(-1.0, 1.0), max_size=3))
+    # the last coefficient brings the polynomial's value at 1 to 1
+    poly = [*head, 1.0 - sum(head)]
+    base = draw(st.integers(-3, 3))
+    return Mask(base, tuple(np.convolve(poly, [1.0, 1.0])))
+
+
+mask_lists = st.lists(cr_masks(), min_size=1, max_size=8)
+
+
+def scale(*masks: Mask) -> float:
+    """Product of the masks' absolute coefficient sums: a bound on every
+    coefficient and symbol value on |z| = 1 of their composition."""
+    return float(np.prod([sum(map(abs, m.coeffs)) for m in masks]))
+
+
+def loop_class_norm(m: Mask, arity: int) -> float:
+    """The residue-class sums as a running sum over the coefficients: the
+    reference for the vectorized sums, which must match it bit for bit."""
+    sums = [0.0] * arity
+    for p, c in enumerate(m.coeffs):
+        sums[(m.base + p) % arity] += abs(c)
+    return max(sums)
+
+
+@derandomized
+@given(mask_lists)
+def test_product_norm_is_residue_norm_of_composition(masks):
+    op = compose_all(masks)
+    chained = ProductOperator(masks[-1])
+    for m in masks[-2::-1]:
+        chained = compose(ProductOperator(m), chained)
+    assert op.levels == chained.levels == len(masks)
+    assert op.mask == chained.mask
+    arity = 2 ** len(masks)
+    assert product_norm(masks) == residue_class_norm(op.mask, arity) == loop_class_norm(op.mask, arity)
+
+
+@derandomized
+@given(cr_masks(), cr_masks(), st.floats(0.0, 2 * np.pi))
+def test_compose_symbol_identity(outer, inner, theta):
+    z = complex(np.cos(theta), np.sin(theta))
+    op = compose(ProductOperator(outer), ProductOperator(inner))
+    want = symbol_eval(outer, z) * symbol_eval(inner, z**2)
+    terms = len(op.mask) + len(outer) + len(inner)
+    assert abs(symbol_eval(op.mask, z) - want) <= terms * EPS * scale(outer, inner)
+
+
+@derandomized
+@given(cr_masks(), cr_masks(), cr_masks())
+def test_compose_associative(a, b, c):
+    ops = [ProductOperator(m) for m in (a, b, c)]
+    left = compose(compose(ops[0], ops[1]), ops[2])
+    right = compose(ops[0], compose(ops[1], ops[2]))
+    assert left.levels == right.levels == 3
+    terms = len(a) * len(b) * len(c)
+    assert coeff_norm(left.mask - right.mask) <= terms * EPS * scale(a, b, c)
+
+
+@derandomized
+@given(cr_masks(), cr_masks(), st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=40),
+       st.integers(-10, 10))
+def test_apply_of_composition_is_apply_of_apply(outer, inner, values, start):
+    f = Window(start, values)
+    one = compose(ProductOperator(outer), ProductOperator(inner)).apply(f)
+    two = apply(outer, apply(inner, f))
+    lo, hi = max(one.start, two.start), min(one.stop, two.stop)
+    assert lo < hi
+    diff = one.span(lo, hi).values - two.span(lo, hi).values
+    terms = len(outer) * len(inner)
+    assert np.max(np.abs(diff)) <= terms * EPS * scale(outer, inner)

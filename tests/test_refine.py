@@ -249,6 +249,23 @@ def test_decay_report_peak_memory():
     assert peak <= 2.5 * final.nbytes
 
 
+def test_decay_report_releases_heap_once_before_deepest_level(monkeypatch):
+    """The free heap is handed back once a run, right before the deepest
+    level, and only when that level's window is large: releasing it at
+    every level made refine_deep's ops 17-29% slower from page faults."""
+    levels = []
+    real = refine.refine_once
+    monkeypatch.setattr(refine, "_release_free_heap", lambda: levels.append("release"))
+    monkeypatch.setattr(refine, "refine_once",
+                        lambda s, scheme: levels.append(s.level) or real(s, scheme))
+    decay_report(catalog.chaikin(), impulse(8), 8)
+    assert levels == [0, 1, 2, 3, 4, 5, 6, 7, 8]  # a small run keeps its heap
+    levels.clear()
+    monkeypatch.setattr(refine, "_RELEASE_BYTES", 0)
+    decay_report(catalog.chaikin(), impulse(8), 8)
+    assert levels == [0, 1, 2, 3, 4, 5, 6, 7, "release", 8]
+
+
 def test_decay_report_needs_levels():
     with pytest.raises(InvalidParameter):
         decay_report(catalog.chaikin(), impulse(8), 2)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from subdiv import catalog
+from subdiv import catalog, operators
 from subdiv.errors import (
     AlignmentMismatch,
     EtaOutOfRange,
@@ -12,11 +12,14 @@ from subdiv.errors import (
     TailNotReached,
 )
 from subdiv.masks import Mask, coeff_norm, difference_mask
-from subdiv.operators import compose_all, condition_a_search, residue_class_norm
+from subdiv.operators import compose_all, condition_a_search, product_norm, residue_class_norm
 from subdiv.schemes import (
+    _EXACT_PRODUCT_CAP,
     ConvergenceCertificate,
+    _c1_prefix,
     boundedness_estimate,
     certify_theorem4,
+    formula_scheme,
     similarity_report,
     stationary_scheme,
     table_scheme,
@@ -316,3 +319,72 @@ def test_certify_stationary_sweep_all_n1():
         cert = certify_theorem4(s, s)
         assert cert.n == 1
         assert cert.mu_star == pytest.approx(max(2.0, gamma) / (2.0 + gamma), abs=1e-12)
+
+
+def tension_scheme(w: float = 0.27, b: float = 0.2):
+    """The 4-point rule with tension w + b/k: its stationary limit needs
+    products of n = 2 rules to contract."""
+    def mask(w_k):
+        return Mask(-3, (-w_k, 0.0, 0.5 + w_k, 1.0, 0.5 + w_k, 0.0, -w_k))
+    return formula_scheme(lambda k: mask(w + b / k), k0=1, N=3)
+
+
+def recomposed_c1_prefix(target, stop):
+    """The C1 prefix as certification computed it before the product was
+    held: every step puts the next level in front and recomposes every
+    factor, in chunks of the cap counted from the newest level once the
+    prefix is longer than the cap."""
+    prefix, best, exact = [], 1.0, True
+    for level in range(target.k0, stop):
+        prefix.insert(0, target.difference_mask_at(level))
+        if len(prefix) <= _EXACT_PRODUCT_CAP:
+            norm = product_norm(prefix)
+        else:
+            exact = False
+            norm = 1.0
+            for i in range(0, len(prefix), _EXACT_PRODUCT_CAP):
+                norm *= product_norm(prefix[i : i + _EXACT_PRODUCT_CAP])
+        best = max(best, norm)
+    return best, exact
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param(catalog.derham_nonstationary(1.05, alpha=19.5), id="corner"),
+    pytest.param(tension_scheme(), id="tension"),
+])
+@pytest.mark.parametrize("stop", [1, 10, 16, 17, 18, 35])
+def test_c1_prefix_matches_recomposing(target, stop):
+    """Holding the product and sharing the chunks gives the recomposing
+    loop's numbers exactly, below, at and past the cap and past two chunks."""
+    assert _c1_prefix(target, stop) == recomposed_c1_prefix(target, stop)
+
+
+@pytest.mark.parametrize("gamma, alpha, K, C1", [
+    (1.05, 19.5, 43, 3370.184263189244),
+    (1.2, 15.0, 27, 272.1253617789688),
+])
+def test_c1_pinned_bits(gamma, alpha, K, C1):
+    """C1 of the slowest corner-cutting items keeps its earlier bits."""
+    cert = certify_theorem4(catalog.derham_nonstationary(gamma, alpha=alpha),
+                            catalog.derham_stationary(gamma), k_range=(1, 256))
+    assert (cert.K, cert.C1, cert.meta["c1_exact"]) == (K, C1, False)
+
+
+def test_c1_prefix_compositions_linear_in_K(monkeypatch):
+    """Each chunk is composed once: the C1 prefix of the K = 43 item costs
+    (cap - 1) kernel compositions per level past the cap, not a number
+    growing with K**2 as recomposing every prefix did (825 here)."""
+    calls = []
+    kernel = operators.compose_coeffs
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(operators, "compose_coeffs", counted)
+    target = catalog.derham_nonstationary(1.05, alpha=19.5)
+    K, n = 43, 1  # its certificate's, pinned by test_c1_pinned_bits
+    _c1_prefix(target, K + n - 1)
+    levels = K + n - 1 - target.k0
+    assert len(calls) == (_EXACT_PRODUCT_CAP - 1) * (levels - _EXACT_PRODUCT_CAP + 1)
+    assert len(calls) <= (_EXACT_PRODUCT_CAP - 1) * K

@@ -2,7 +2,6 @@
 certification with explicit error constants."""
 
 from .errors import (
-    AlignmentMismatch,
     ContractionNotFound,
     EmptyOutput,
     EtaOutOfRange,

@@ -44,11 +44,13 @@ FIGURE2_ITERATIONS = (8, 12, 16)
 
 # A refine or figure run whose estimated memory exceeds
 # operators.MEMORY_BUDGET is refused before it allocates anything (exit 3).
-# The estimate counts the windows' arrays at about 1.5 x 8 bytes a value,
-# and 64 bytes a value for figure --out: a margin over the three traces it
-# keeps for its CSV.
+# The estimate counts the windows' arrays at about 1.5 x 8 bytes a value
+# (tracemalloc: 11.4 to 12.0 for refine --levels 16), and 36 bytes a value
+# for figure --out, which also keeps traces and writes CSV strings 2**15
+# rows at a time (tracemalloc: 34.1 for figure 1 --levels 14 --out, where
+# those strings are a large share, and 15.4 for figure 2 --out).
 _ARRAY_BYTES = 12
-_ROW_BYTES = 64
+_ROW_BYTES = 36
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -129,11 +131,7 @@ def cmd_analyze(args) -> int:
         k_hi = min(k_hi, scheme.max_level)
     levels = range(k_lo, k_hi + 1) if scheme.kind != "stationary" else [scheme.k0]
 
-    try:
-        described = scheme.to_dict()
-    except SubdivError:
-        described = {"name": scheme.name}
-    report: dict = {"scheme": described, "levels": {}}
+    report: dict = {"scheme": scheme.to_dict(), "levels": {}}
     all_ok = True
     for k in levels:
         m = scheme.mask_at(k)

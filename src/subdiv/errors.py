@@ -31,10 +31,6 @@ class EmptyOutput(SubdivError):
     """Input window is too short to produce any fully supported value."""
 
 
-class AlignmentMismatch(SubdivError):
-    """Compared masks do not fit inside a common support interval [-N, N]."""
-
-
 class SimilarityNotEstablished(SubdivError):
     """Mask differences did not certify as vanishing over the scanned window."""
 

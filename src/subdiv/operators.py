@@ -81,9 +81,14 @@ MEMORY_BUDGET = 2**30
 # Peak bytes per coefficient while a product of n rules of a scheme with
 # locality N is composed and its norm taken, counting the product as
 # 2N * 2**n coefficients.  tracemalloc measured about 14 for product_norm
-# of Chaikin's difference rule; the margin covers the Mask tuples that the
-# transfer builds from such products.
+# of Chaikin's difference rule; 64 keeps a margin of over 4x.
 _PRODUCT_BYTES = 64
+# Peak bytes the search holds per scanned level, per unit of N + n_max: the
+# level's difference rule (up to 2N coefficients) and up to n_max cells of
+# the scan.  tracemalloc measured about 150 + 33 per coefficient for a rule
+# and 136 per cell, or 1322 and 1418 bytes a level for contraction_scan of
+# corner-cutting (N = 2) and 4-point (N = 3) rules at n_max = 8.
+_LEVEL_BYTES = 160
 
 
 def check_budget(need: int, request: str) -> None:
@@ -228,7 +233,7 @@ def compose_coeffs(
     return o_base + arity * i_base + lo, coeffs[lo:hi]
 
 
-def _stencil(m: Mask) -> tuple[int, Sequence[float]]:
+def stencil(m: Mask) -> tuple[int, Sequence[float]]:
     """A mask as a ``(base, coeffs)`` stencil.  Stencils hold a mask's tuple
     or, once composed, the kernel's array."""
     return m.base, m.coeffs
@@ -245,7 +250,7 @@ def _floats(coeffs: Sequence[float]) -> Sequence[float]:
 _SHORT_STENCIL = 32
 
 
-def _class_norm(stencil: tuple[int, Sequence[float]], arity: int) -> float:
+def class_norm(stencil: tuple[int, Sequence[float]], arity: int) -> float:
     """``residue_class_norm`` of a stencil.  The loop and ``np.bincount``
     both add the weights of a class in index order, so they give the same
     sums bit for bit."""
@@ -259,15 +264,26 @@ def _class_norm(stencil: tuple[int, Sequence[float]], arity: int) -> float:
     return max(sums)
 
 
+def stencil_difference(
+    a: tuple[int, Sequence[float]], b: tuple[int, Sequence[float]]
+) -> tuple[int, np.ndarray]:
+    """Stencil of ``a - b``, aligned by absolute index over the hull of
+    both: the floats of ``Mask.__sub__``, with exact-zero ends kept."""
+    (a_base, a_c), (b_base, b_c) = a, b
+    lo = min(a_base, b_base)
+    out = np.zeros(max(a_base + len(a_c), b_base + len(b_c)) - lo)
+    out[a_base - lo : a_base - lo + len(a_c)] = a_c
+    out[b_base - lo : b_base - lo + len(b_c)] -= b_c
+    return lo, out
+
+
 def compose(outer: ProductOperator, inner: ProductOperator) -> ProductOperator:
     """Collapse outer . inner (inner acts first) into one operator.
 
     The combined symbol is outer(z) * inner(z**A) with A the outer arity;
     arities multiply.
     """
-    base, coeffs = compose_coeffs(
-        _stencil(outer.mask), _stencil(inner.mask), outer.arity
-    )
+    base, coeffs = compose_coeffs(stencil(outer.mask), stencil(inner.mask), outer.arity)
     return ProductOperator(Mask(base, tuple(_floats(coeffs))), outer.levels + inner.levels)
 
 
@@ -279,47 +295,45 @@ def residue_class_norm(m: Mask, arity: int) -> float:
     """
     if arity < 1:
         raise InvalidParameter("arity must be positive")
-    return _class_norm(_stencil(m), arity)
+    return class_norm(stencil(m), arity)
 
 
-def _products(masks: Sequence[Mask]):
+def products(rules: Sequence[Mask]):
     """Yield the stencils of the products of the first 1, 2, ... arity-2
-    rules, the FIRST mask acting first: each next rule is composed onto the
-    held product as the outer factor, q(z) * P(z**2)."""
+    rules in level order, the first rule acting first: each next rule is
+    composed onto the held product as the outer factor, q(z) * P(z**2)."""
     held = None
-    for m in masks:
-        held = _stencil(m) if held is None else compose_coeffs(_stencil(m), held, 2)
+    for m in rules:
+        held = stencil(m) if held is None else compose_coeffs(stencil(m), held, 2)
         yield held
 
 
-def _product(masks: Sequence[Mask]) -> tuple[int, Sequence[float]]:
-    """Stencil of the composed product; the last mask acts first."""
-    if not masks:
+def _product(rules: Sequence[Mask]) -> tuple[int, Sequence[float]]:
+    """Stencil of the product of all the rules, in level order."""
+    if not rules:
         raise InvalidParameter("empty operator product")
-    for held in _products(masks[::-1]):
+    for held in products(rules):
         pass
     return held
+
+
+def runs(rules: Sequence[Mask], n: int):
+    """Yield the stencils of the products of each n consecutive rules in
+    level order: the product of ``rules[k : k + n]``, for k = 0, 1, ..."""
+    return (_product(rules[k : k + n]) for k in range(len(rules) - n + 1))
 
 
 def compose_all(masks: Sequence[Mask]) -> ProductOperator:
     """Compose arity-2 rules; the LAST mask in the list acts first."""
     if len(masks) == 1:
         return ProductOperator(masks[0])
-    base, coeffs = _product(masks)
+    base, coeffs = _product(masks[::-1])
     return ProductOperator(Mask(base, tuple(_floats(coeffs))), len(masks))
 
 
 def product_norm(masks: Sequence[Mask]) -> float:
     """Sup-norm of the composed operator; the last mask acts first."""
-    return _class_norm(_product(masks), 2 ** len(masks))
-
-
-def prefix_norms(masks: Sequence[Mask]) -> list[float]:
-    """Sup-norms of the products of the first 1, 2, ..., len(masks) rules,
-    the FIRST mask acting first.  The product is held and each rule is
-    composed on once, so entry j equals ``product_norm(masks[j::-1])``
-    bit for bit."""
-    return [_class_norm(p, 2**j) for j, p in enumerate(_products(masks), 1)]
+    return class_norm(_product(masks[::-1]), 2 ** len(masks))
 
 
 @dataclass(frozen=True)
@@ -362,27 +376,25 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
     k0 = scheme.k0
     if scheme.kind == "stationary":
         q = scheme.difference_mask_at(k0)
-        for n in range(1, n_max + 1):
-            yield n, k0, product_norm([q] * n), 1
+        for n, p in enumerate(products([q] * n_max), 1):
+            yield n, k0, class_norm(p, 2**n), 1
         return
 
     last = k0 + K_max + window + n_max - 1
     if scheme.max_level is not None:
         last = min(last, scheme.max_level)
-    qs = {k: scheme.difference_mask_at(k) for k in range(k0, last + 1)}
+    check_budget(
+        _LEVEL_BYTES * (scheme.N + n_max) * max(last - k0 + 1, 0),
+        f"difference rules for levels {k0} to {last}",
+    )
+    qs = [scheme.difference_mask_at(k) for k in range(k0, last + 1)]
     for n in range(1, n_max + 1):
-        top_start = last - n + 1
-        if top_start < k0:
-            return
-        norms = {
-            k: product_norm([qs[k + n - 1 - j] for j in range(n)])
-            for k in range(k0, top_start + 1)
-        }
+        norms = [class_norm(p, 2**n) for p in runs(qs, n)]
         for K in range(k0, k0 + K_max + 1):
-            ks = range(K, min(K + window, top_start) + 1)
-            if not len(ks):
+            cell = norms[K - k0 : K - k0 + window + 1]
+            if not cell:
                 break
-            yield n, K, max(norms[k] for k in ks), len(ks)
+            yield n, K, max(cell), len(cell)
 
 
 def condition_a_search(

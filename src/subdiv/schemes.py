@@ -5,6 +5,7 @@ explicit error constants."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -12,7 +13,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    AlignmentMismatch,
     EtaOutOfRange,
     InvalidParameter,
     NotConstantReproducing,
@@ -22,11 +22,12 @@ from .errors import (
 from .masks import DECAY_MARGIN, ROUND_TOL, TOL, Mask, coeff_norm, difference_mask, sup_norm
 from .operators import (
     ContractionWitness,
-    compose_all,
+    class_norm,
     condition_a_search,
-    prefix_norms,
-    product_norm,
-    residue_class_norm,
+    products,
+    runs,
+    stencil,
+    stencil_difference,
 )
 
 # Explicit compositions are kept exact up to this many factors; longer
@@ -93,29 +94,12 @@ class SchemeSpec:
             raise NotConstantReproducing(f"level {k}: {exc}", level=k) from None
 
     def to_dict(self) -> dict:
-        if self.descriptor is not None:
-            return dict(self.descriptor)
-        if self.kind == "stationary":
-            return {
-                "kind": "stationary",
-                "mask": self.mask_at(self.k0).to_dict(),
-                "N": self.N,
-            }
-        if self.kind == "table":
-            assert self.max_level is not None
-            return {
-                "kind": "table",
-                "masks": [
-                    self.mask_at(k).to_dict()
-                    for k in range(self.k0, self.max_level + 1)
-                ],
-                "k0": self.k0,
-                "N": self.N,
-            }
-        raise InvalidParameter(
-            "formula scheme has no serializable description; construct it "
-            "through the catalog to attach one"
-        )
+        if self.descriptor is None:
+            raise InvalidParameter(
+                "formula scheme has no serializable description; construct it "
+                "through the catalog to attach one"
+            )
+        return dict(self.descriptor)
 
 
 def _default_locality(mask: Mask) -> int:
@@ -133,6 +117,7 @@ def stationary_scheme(mask: Mask, N: int | None = None, name: str = "") -> Schem
     return SchemeSpec(
         kind="stationary", k0=0, N=N, mask_fn=lambda k: mask, name=name,
         bound_hint=coeff_norm(mask),
+        descriptor={"kind": "stationary", "mask": mask.to_dict(), "N": N},
     )
 
 
@@ -153,6 +138,9 @@ def table_scheme(
         kind="table", k0=k0, N=N,
         mask_fn=lambda k: masks[k - k0], name=name,
         bound_hint=hint, max_level=k0 + len(masks) - 1,
+        descriptor={
+            "kind": "table", "masks": [m.to_dict() for m in masks], "k0": k0, "N": N,
+        },
     )
 
 
@@ -281,7 +269,6 @@ def similarity_report(
     a: SchemeSpec,
     b: SchemeSpec,
     k_range: tuple[int, int],
-    N: int | None = None,
 ) -> SimilarityReport:
     """Per-level sup differences of the two mask families, with verdicts.
 
@@ -294,20 +281,11 @@ def similarity_report(
     k_lo, k_hi = k_range
     if k_hi - k_lo + 1 < 8:
         raise InvalidParameter("similarity window must cover at least 8 levels")
-    if N is None:
-        N = max(a.N, b.N)
     ks, diffs, psums = [], [], []
     running = 0.0
     for k in range(k_lo, k_hi + 1):
-        ma, mb = a.mask_at(k), b.mask_at(k)
-        for m, owner in ((ma, "first"), (mb, "second")):
-            sup = m.support
-            if sup is not None and (sup[0] < -N or sup[1] > N):
-                raise AlignmentMismatch(
-                    f"{owner} scheme's level-{k} mask has support {sup}, "
-                    f"outside the common interval [-{N}, {N}]"
-                )
-        d = coeff_norm(ma - mb)
+        _, diff = stencil_difference(stencil(a.mask_at(k)), stencil(b.mask_at(k)))
+        d = max(map(abs, diff.tolist()), default=0.0)
         running += d
         ks.append(k)
         diffs.append(d)
@@ -356,13 +334,8 @@ def similarity_report(
     return SimilarityReport(
         ks=tuple(ks), diffs=tuple(diffs), partial_sums=tuple(psums),
         similar=similar, equivalent=equivalent, decay_fit=fit,
-        analytic=analytic, N=N,
+        analytic=analytic, N=max(a.N, b.N),
     )
-
-
-def _product_op(scheme: SchemeSpec, k: int, n: int):
-    """Composed operator of the difference rules for levels k .. k+n-1."""
-    return compose_all([scheme.difference_mask_at(k + n - 1 - j) for j in range(n)])
 
 
 def _transfer(
@@ -396,7 +369,7 @@ def _transfer(
 
     # Constant reproduction on every scanned target level, checked before
     # similarity so the failure reported first is the binding one.
-    target_q = {k: target.difference_mask_at(k) for k in range(k_lo, k_hi + n)}
+    target_q = [target.difference_mask_at(k) for k in range(k_lo, k_hi + n)]
     sim = similarity_report(target, comparator, (k_lo, k_hi))
     if sim.similar != "yes":
         raise SimilarityNotEstablished(
@@ -407,34 +380,30 @@ def _transfer(
     # Products are compared start level against start level; a stationary
     # comparator has one product for all of them.
     stationary_comp = comparator.kind == "stationary"
-    comp_op = _product_op(comparator, comparator.k0, n) if stationary_comp else None
+    if stationary_comp:
+        q = comparator.difference_mask_at(comparator.k0)
+        comp_runs = itertools.repeat(next(runs([q] * n, n)))
+    else:
+        comp_runs = runs(
+            [comparator.difference_mask_at(k) for k in range(k_lo, k_hi + n)], n
+        )
     arity = 2 ** n
     diffs = []
     tnorms = []
-    for k in range(k_lo, k_hi + 1):
-        t_op = compose_all([target_q[k + n - 1 - j] for j in range(n)])
-        c_op = comp_op if stationary_comp else _product_op(comparator, k, n)
-        diffs.append(residue_class_norm(t_op.mask - c_op.mask, arity))
-        tnorms.append(residue_class_norm(t_op.mask, arity))
+    for t, c in zip(runs(target_q, n), comp_runs):
+        diffs.append(class_norm(stencil_difference(t, c), arity))
+        tnorms.append(class_norm(t, arity))
 
-    k_tilde = None
-    worst_from_here = 0.0
-    suffix_max = [0.0] * len(diffs)
-    for i in range(len(diffs) - 1, -1, -1):
-        worst_from_here = max(worst_from_here, diffs[i])
-        suffix_max[i] = worst_from_here
-    for i, k in enumerate(range(k_lo, k_hi + 1)):
-        if suffix_max[i] <= eps:
-            k_tilde = k
-            break
-    if k_tilde is None:
+    # the level after the last difference above epsilon
+    k_tilde = k_lo + max((i + 1 for i, d in enumerate(diffs) if d > eps), default=0)
+    if k_tilde > k_hi:
         raise TailNotReached(
             f"product-norm differences never settled below epsilon = {eps!r} "
-            f"within levels [{k_lo}, {k_hi}] (last suffix max {suffix_max[-1]!r})"
+            f"within levels [{k_lo}, {k_hi}] (last suffix max {diffs[-1]!r})"
         )
 
     K = max(witness_star.K, k_tilde)
-    checked = [t for k, t in zip(range(k_lo, k_hi + 1), tnorms) if k >= K]
+    checked = tnorms[K - k_lo :]
     if checked and max(checked) > mu + TOL:
         raise RuntimeError(
             "transferred bound violated by a computed product norm; "
@@ -491,9 +460,8 @@ def _c1_prefix(target: SchemeSpec, stop: int) -> tuple[float, bool]:
     """
     qs = [target.difference_mask_at(k) for k in range(target.k0, stop)]
     cap = _EXACT_PRODUCT_CAP
-    chunk = prefix_norms(qs[:cap]) + [
-        product_norm(qs[t : t - cap : -1]) for t in range(cap, len(qs))
-    ]
+    chunk = [class_norm(p, 2**j) for j, p in enumerate(products(qs[:cap]), 1)]
+    chunk += [class_norm(p, 2**cap) for p in runs(qs[1:], cap)]
     best = max([1.0, *(math.prod(chunk[t::-cap]) for t in range(len(qs)))])
     return best, len(qs) <= cap
 

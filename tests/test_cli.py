@@ -309,10 +309,16 @@ def test_memory_budget_refusal(argv, tmp_path, monkeypatch, capsys):
     pytest.param(["certify", "--scheme", "derham:gamma=2,alpha=1.5",
                   "--comparator", "derham_stationary:gamma=2", "--n-max", "60"],
                  id="certify"),
+    pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--K-max", str(10**9)],
+                 id="analyze-K-max"),
+    pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--window", str(10**9)],
+                 id="analyze-window"),
 ])
 def test_n_max_budget_refusal(argv, capsys):
     """An n-fold product stencil holds about len(q) * 2**n coefficients, so
-    an exponential --n-max exits 3 before any product is composed."""
+    an exponential --n-max exits 3 before any product is composed; so does
+    a --K-max or --window whose levels' difference rules would not fit,
+    before any rule is built."""
     tracemalloc.start()
     try:
         code = run(argv)

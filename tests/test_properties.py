@@ -17,10 +17,14 @@ from subdiv.operators import (
     ProductOperator,
     Window,
     apply,
+    class_norm,
     compose,
     compose_all,
     product_norm,
     residue_class_norm,
+    runs,
+    stencil,
+    stencil_difference,
 )
 
 derandomized = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -66,6 +70,29 @@ def test_product_norm_is_residue_norm_of_composition(masks):
     assert op.mask == chained.mask
     arity = 2 ** len(masks)
     assert product_norm(masks) == residue_class_norm(op.mask, arity) == loop_class_norm(op.mask, arity)
+
+
+@derandomized
+@given(mask_lists, st.integers(1, 8))
+def test_runs_are_level_ordered_products(rules, n):
+    """Entry k of runs(rules, n) is the product of rules[k : k + n] with
+    rules[k] acting first: compose_all of that run in operator order."""
+    got = list(runs(rules, n))
+    assert len(got) == max(len(rules) - n + 1, 0)
+    for k, (base, coeffs) in enumerate(got):
+        assert Mask(base, tuple(map(float, coeffs))) == compose_all(rules[k : k + n][::-1]).mask
+
+
+@derandomized
+@given(mask_lists, mask_lists)
+def test_stencil_difference_is_mask_difference(a, b):
+    """The aligned stencil difference holds the floats of Mask.__sub__, so
+    its class norm is the norm of the difference mask bit for bit."""
+    ma, mb = compose_all(a).mask, compose_all(b).mask
+    base, diff = stencil_difference(stencil(ma), stencil(mb))
+    assert Mask(base, tuple(diff.tolist())) == ma - mb
+    arity = 2 ** max(len(a), len(b))
+    assert class_norm((base, diff), arity) == residue_class_norm(ma - mb, arity)
 
 
 @derandomized

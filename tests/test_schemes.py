@@ -1,10 +1,11 @@
+import hashlib
+import json
 import math
 
 import pytest
 
 from subdiv import catalog, operators
 from subdiv.errors import (
-    AlignmentMismatch,
     EtaOutOfRange,
     InvalidParameter,
     NotConstantReproducing,
@@ -15,8 +16,10 @@ from subdiv.masks import Mask, coeff_norm, difference_mask
 from subdiv.operators import compose_all, condition_a_search, product_norm, residue_class_norm
 from subdiv.schemes import (
     _EXACT_PRODUCT_CAP,
+    AnalyticSimilarity,
     ConvergenceCertificate,
     _c1_prefix,
+    _transfer,
     boundedness_estimate,
     certify_theorem4,
     formula_scheme,
@@ -145,12 +148,6 @@ def test_transfer_nonstationary_comparator():
     w = transfer_condition_a(target, comp, wstar, (1, 64))
     assert w.mu == pytest.approx((1.0 + wstar.mu) / 2.0, abs=1e-15)
     assert w.windowed and w.K <= 64
-
-
-def test_similarity_alignment_mismatch():
-    off = stationary_scheme(Mask(4, (0.25, 0.75, 0.75, 0.25)))
-    with pytest.raises(AlignmentMismatch):
-        similarity_report(off, catalog.chaikin(), (0, 8), N=2)
 
 
 def test_similarity_window_too_short():
@@ -321,12 +318,18 @@ def test_certify_stationary_sweep_all_n1():
         assert cert.mu_star == pytest.approx(max(2.0, gamma) / (2.0 + gamma), abs=1e-12)
 
 
+def tension_mask(w: float) -> Mask:
+    return Mask(-3, (-w, 0.0, 0.5 + w, 1.0, 0.5 + w, 0.0, -w))
+
+
 def tension_scheme(w: float = 0.27, b: float = 0.2):
     """The 4-point rule with tension w + b/k: its stationary limit needs
-    products of n = 2 rules to contract."""
-    def mask(w_k):
-        return Mask(-3, (-w_k, 0.0, 0.5 + w_k, 1.0, 0.5 + w_k, 0.0, -w_k))
-    return formula_scheme(lambda k: mask(w + b / k), k0=1, N=3)
+    products of n = 2 rules to contract.  Its flags say that it decays to
+    that limit like b/k."""
+    return formula_scheme(
+        lambda k: tension_mask(w + b / k), k0=1, N=3,
+        analytic=AnalyticSimilarity(tension_mask(w), eps_is_o1=True, eps_summable=False),
+    )
 
 
 def recomposed_c1_prefix(target, stop):
@@ -388,3 +391,45 @@ def test_c1_prefix_compositions_linear_in_K(monkeypatch):
     levels = K + n - 1 - target.k0
     assert len(calls) == (_EXACT_PRODUCT_CAP - 1) * (levels - _EXACT_PRODUCT_CAP + 1)
     assert len(calls) <= (_EXACT_PRODUCT_CAP - 1) * K
+
+
+def certification_record() -> list:
+    """Certificates at k_range (1, 64) and (1, 256), with the contraction
+    scans of both schemes, of corner-cutting pairs (n = 1, K from 1 to 43)
+    and 4-point tension pairs (N = 3, n = 2); then transfers from
+    level-dependent comparators, n = 1 and n = 2, one of which runs out of
+    levels at (1, 64)."""
+    pairs = [
+        (catalog.derham_nonstationary(g, alpha=a), catalog.derham_stationary(g))
+        for g, a in ((1.05, 19.5), (1.3, 4.0), (2.0, 1.5), (3.7, -0.3))
+    ] + [
+        (tension_scheme(w, b), stationary_scheme(tension_mask(w), N=3))
+        for w, b in ((0.265, 0.07), (0.285, 0.22))
+    ]
+    record = []
+    for target, comparator in pairs:
+        for k_range in ((1, 64), (1, 256)):
+            record.append(certify_theorem4(target, comparator, k_range=k_range).to_dict())
+        record.append(operators.contraction_scan(target))
+        record.append(operators.contraction_scan(comparator))
+    transfers = [
+        (catalog.derham_nonstationary(2.0, alpha=a), catalog.derham_nonstationary(2.0, alpha=0.5))
+        for a in (1.5, -0.4)
+    ] + [(tension_scheme(0.26, b), tension_scheme(0.26, c)) for b, c in ((0.25, 0.05), (0.1, 0.2))]
+    for target, comparator in transfers:
+        witness_star = condition_a_search(comparator)
+        for k_range in ((1, 64), (1, 256)):
+            try:
+                witness, meta = _transfer(target, comparator, witness_star, k_range, None)
+                record.append([witness_star.to_dict(), witness.to_dict(), meta])
+            except TailNotReached as exc:
+                record.append(str(exc))
+    return record
+
+
+def test_certification_golden_digest():
+    """The certificates, scans and transfers keep their earlier bits."""
+    text = json.dumps(certification_record(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ef39100423f908768e124033c600363d83b3077d07ad064cc87471a48fd30ba"
+    )

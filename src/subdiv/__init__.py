@@ -39,16 +39,13 @@ from .operators import (
 from .refine import (
     DecayReport,
     LimitSample,
-    PLFunction,
     RefinementState,
     cauchy_norm,
     constant,
     decay_report,
     impulse,
     limit_sample,
-    make_state,
     pl_eval,
-    pl_function,
     pl_gap,
     refine_once,
 )

@@ -5,6 +5,7 @@ descriptions from JSON files and compact CLI strings."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Callable, Sequence
 
@@ -31,6 +32,14 @@ def chaikin() -> SchemeSpec:
     return stationary_scheme(CHAIKIN_MASK, N=2, name="chaikin")
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, refused when it is NaN or infinite: NaN passes every
+    ordered test, and an infinite ratio makes NaN weights."""
+    if not math.isfinite(value):
+        raise InvalidParameter(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def _corner_mask(gamma_k: float) -> Mask:
     # Ratio 0 merges the two new points at the segment midpoint; that is a
     # degenerate but well-defined rule, so only negative ratios are refused.
@@ -38,6 +47,7 @@ def _corner_mask(gamma_k: float) -> Mask:
         raise InvalidParameter(
             f"corner-cutting ratio must be nonnegative, got {gamma_k!r}"
         )
+    _finite(gamma_k, "corner-cutting ratio")
     s = 2.0 + gamma_k
     return Mask(-1, (1.0 / s, (1.0 + gamma_k) / s, (1.0 + gamma_k) / s, 1.0 / s))
 
@@ -46,6 +56,7 @@ def derham_stationary(gamma: float) -> SchemeSpec:
     """Corner cutting with segment ratios 1 : gamma : 1 at every level."""
     if gamma <= 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma!r}")
+    _finite(gamma, "gamma")
     return stationary_scheme(
         _corner_mask(gamma), N=2, name=f"derham_stationary(gamma={gamma:g})"
     )
@@ -66,13 +77,14 @@ def derham_nonstationary(
     """
     if gamma <= 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma!r}")
+    _finite(gamma, "gamma")
     if (alpha is None) == (eps is None):
         raise InvalidParameter("give exactly one of alpha or an eps table")
 
     if alpha is not None:
         if k0 < 1:
             raise InvalidParameter("alpha/k drift needs a starting level >= 1")
-        alpha_f = float(alpha)
+        alpha_f = _finite(float(alpha), "alpha")
 
         def eps_at(k: int) -> float:
             return alpha_f / k
@@ -93,7 +105,7 @@ def derham_nonstationary(
         }
         name = f"derham(gamma={gamma:g}, alpha={alpha_f:g})"
     else:
-        table = tuple(float(e) for e in eps)  # type: ignore[union-attr]
+        table = tuple(_finite(float(e), "eps entry") for e in eps)  # type: ignore[union-attr]
         if not table:
             raise InvalidParameter("eps table must be non-empty")
 

@@ -222,13 +222,12 @@ def cmd_compare(args) -> int:
 def cmd_certify(args) -> int:
     target = _load_scheme(args.scheme)
     comparator = _load_scheme(args.comparator)
-    k_range = args.k_range or (target.k0, target.k0 + args.window - 1)
     try:
         cert = certify_theorem4(
-            target, comparator, eta=args.eta, k_range=k_range, mu=args.mu,
+            target, comparator, eta=args.eta, k_range=args.k_range, mu=args.mu,
             n_max=args.n_max,
         )
-    except (ContractionNotFound, TailNotReached, SubdivError) as exc:
+    except SubdivError as exc:
         return _map_failure("certified", exc, args.out)
     payload = {"certified": True, "certificate": cert.to_dict(),
                "target": target.to_dict(), "comparator": comparator.to_dict()}
@@ -270,7 +269,7 @@ def _initial_state(args, scheme) -> refine.RefinementState:
         print(f"error loading initial window: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_LOAD)
     _check_memory(len(window), level, args.levels, _ARRAY_BYTES)
-    return refine.make_state(window, level=level)
+    return refine.RefinementState(level, window)
 
 
 def cmd_refine(args) -> int:
@@ -395,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="convergence certificate against a stationary comparator")
     _add_common(p, comparator=True)
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
-    p.add_argument("--window", type=int, default=64)
     p.add_argument("--eta", type=float, default=None,
                    help="decay rate quoted in the bound (sets mu = eta**n)")
     p.add_argument("--mu", type=float, default=None,

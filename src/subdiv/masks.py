@@ -8,8 +8,11 @@ share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import NotConstantReproducing, NotFactorable
 
@@ -43,15 +46,22 @@ ROUND_TOL = 1e-15
 DECAY_MARGIN = 1e-9
 
 
-def _trimmed(base: int, coeffs: Sequence[float], tol: float) -> tuple[int, tuple[float, ...]]:
+def _trimmed(base: int, coeffs: Sequence[float], tol: float) -> tuple[int, Sequence[float]]:
+    """The stencil without its end coefficients of absolute value at most
+    ``tol``, as a slice of ``coeffs``."""
     lo, hi = 0, len(coeffs)
     while lo < hi and abs(coeffs[lo]) <= tol:
         lo += 1
     while hi > lo and abs(coeffs[hi - 1]) <= tol:
         hi -= 1
     if lo == hi:
-        return 0, ()
-    return base + lo, tuple(float(c) for c in coeffs[lo:hi])
+        return 0, coeffs[:0]
+    return base + lo, coeffs[lo:hi]
+
+
+def _floats(coeffs: Sequence[float]) -> Sequence[float]:
+    """A stencil's coefficients as a sequence of Python numbers."""
+    return coeffs.tolist() if isinstance(coeffs, np.ndarray) else tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -67,9 +77,9 @@ class Mask:
     coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        base, coeffs = _trimmed(self.base, tuple(self.coeffs), 0.0)
+        base, coeffs = _trimmed(self.base, _floats(self.coeffs), 0.0)
         object.__setattr__(self, "base", int(base))
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(map(float, coeffs)))
 
     @property
     def is_zero(self) -> bool:
@@ -92,10 +102,12 @@ class Mask:
         return 0.0
 
     def __add__(self, other: "Mask") -> "Mask":
-        return _combine(self, other, 1.0)
+        lo, x, y = _aligned(stencil(self), stencil(other))
+        x += y
+        return Mask(lo, x)
 
     def __sub__(self, other: "Mask") -> "Mask":
-        return _combine(self, other, -1.0)
+        return Mask(*stencil_difference(stencil(self), stencil(other)))
 
     def __mul__(self, scalar: float) -> "Mask":
         return Mask(self.base, tuple(scalar * c for c in self.coeffs))
@@ -107,23 +119,83 @@ class Mask:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Mask":
-        return cls(int(obj["base"]), tuple(float(c) for c in obj["coeffs"]))
-
-
-def _combine(a: Mask, b: Mask, sign: float) -> Mask:
-    """Coefficient-wise a + sign*b, aligned by absolute integer index."""
-    if a.is_zero:
-        return b * sign
-    if b.is_zero:
-        return a
-    lo = min(a.base, b.base)
-    hi = max(a.base + len(a) - 1, b.base + len(b) - 1)
-    return Mask(lo, tuple(a[i] + sign * b[i] for i in range(lo, hi + 1)))
+        """Rebuild a mask from ``to_dict`` output; a non-finite coefficient,
+        which Python's json reads from NaN or Infinity, raises ValueError."""
+        coeffs = tuple(float(c) for c in obj["coeffs"])
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"mask coefficients must be finite, got {list(coeffs)!r}")
+        return cls(int(obj["base"]), coeffs)
 
 
 # Mask of the stationary scheme whose limits are piecewise-linear hats;
 # the reference every perturbation is measured against.
 LINEAR_BSPLINE = Mask(-1, (0.5, 1.0, 0.5))
+
+
+def stencil(m: Mask) -> tuple[int, Sequence[float]]:
+    """A mask as a ``(base, coeffs)`` stencil, the form the coefficient
+    kernels below work on.  Stencils hold a mask's tuple or, once composed
+    or subtracted, the kernel's array."""
+    return m.base, m.coeffs
+
+
+# Stencils up to this long take their class sums in a Python loop, which
+# beats the fixed cost of the numpy calls on the short rules and products
+# of the contraction search and the transfer.
+_SHORT_STENCIL = 32
+
+
+def class_norm(stencil: tuple[int, Sequence[float]], arity: int) -> float:
+    """Max over residue classes mod ``arity`` of the absolute coefficient
+    sums of a stencil.  The loop and ``np.bincount`` both add the weights
+    of a class in index order, so they give the same sums bit for bit."""
+    base, coeffs = stencil
+    if len(coeffs) > _SHORT_STENCIL:
+        classes = np.arange(base, base + len(coeffs)) % arity
+        return float(np.bincount(classes, np.abs(coeffs)).max())
+    sums = [0.0] * arity
+    for p, c in enumerate(_floats(coeffs), base):
+        sums[p % arity] += abs(c)
+    return max(sums)
+
+
+def _aligned(a, b) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(lo, x, y)``: two stencils as arrays from index ``lo`` over the
+    hull of both, each +0.0 off its own coefficients, so ``x + y`` and
+    ``x - y`` are the per-index sums of the two masks, signed zeros
+    included."""
+    (a_base, a_c), (b_base, b_c) = a, b
+    lo = min(a_base, b_base)
+    n = max(a_base + len(a_c), b_base + len(b_c)) - lo
+    x, y = np.zeros(n), np.zeros(n)
+    x[a_base - lo : a_base - lo + len(a_c)] = a_c
+    y[b_base - lo : b_base - lo + len(b_c)] = b_c
+    return lo, x, y
+
+
+def stencil_difference(
+    a: tuple[int, Sequence[float]], b: tuple[int, Sequence[float]]
+) -> tuple[int, np.ndarray]:
+    """Stencil of ``a - b``, aligned by absolute index over the hull of
+    both, with exact-zero ends kept."""
+    lo, x, y = _aligned(a, b)
+    x -= y
+    return lo, x
+
+
+def compose_coeffs(
+    outer: tuple[int, Sequence[float]], inner: tuple[int, Sequence[float]], arity: int
+) -> tuple[int, np.ndarray]:
+    """Stencil of outer(z) * inner(z**arity), the one composition kernel of
+    the library, with exact-zero ends trimmed by ``Mask``'s scan."""
+    (o_base, o), (i_base, i) = outer, inner
+    if not len(o) or not len(i):
+        return 0, np.zeros(0)
+    up = np.zeros(arity * (len(i) - 1) + 1)
+    up[::arity] = i
+    # The end coefficients are products of end coefficients, so with
+    # trimmed factors the trim stops at once unless a product underflows.
+    return _trimmed(o_base + arity * i_base, np.convolve(o, up), 0.0)
 
 
 def symbol_eval(m: Mask, z: complex) -> complex:
@@ -144,13 +216,7 @@ def sup_norm(m: Mask) -> float:
     Equals the larger of the even-index and odd-index absolute coefficient
     sums; parity is taken on the absolute index, so it is base-sensitive.
     """
-    even = odd = 0.0
-    for p, c in enumerate(m.coeffs):
-        if (m.base + p) % 2 == 0:
-            even += abs(c)
-        else:
-            odd += abs(c)
-    return max(even, odd)
+    return class_norm(stencil(m), 2)
 
 
 def coeff_norm(m: Mask) -> float:

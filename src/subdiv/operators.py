@@ -4,13 +4,15 @@ contraction search."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractionNotFound, EmptyOutput, InvalidParameter
-from .masks import Mask
+from .masks import Mask, class_norm, compose_coeffs, stencil
 
 
 class Window:
@@ -206,77 +208,6 @@ class ProductOperator:
         return apply(self.mask, f, self.arity)
 
 
-def compose_coeffs(
-    outer: tuple[int, Sequence[float]], inner: tuple[int, Sequence[float]], arity: int
-) -> tuple[int, np.ndarray]:
-    """Stencil ``(base, coeffs)`` of outer(z) * inner(z**arity), the one
-    composition kernel of the library.
-
-    Exact-zero ends are trimmed as ``Mask`` trims them, so a stencil built
-    here holds the same floats as the ``Mask`` that ``compose`` builds.
-    """
-    (o_base, o), (i_base, i) = outer, inner
-    if not len(o) or not len(i):
-        return 0, np.zeros(0)
-    up = np.zeros(arity * (len(i) - 1) + 1)
-    up[::arity] = i
-    coeffs = np.convolve(o, up)
-    # The end coefficients are products of end coefficients, so with
-    # trimmed factors these loops stop at once unless a product underflows.
-    lo, hi = 0, len(coeffs)
-    while lo < hi and coeffs[lo] == 0.0:
-        lo += 1
-    while hi > lo and coeffs[hi - 1] == 0.0:
-        hi -= 1
-    if lo == hi:
-        return 0, coeffs[:0]
-    return o_base + arity * i_base + lo, coeffs[lo:hi]
-
-
-def stencil(m: Mask) -> tuple[int, Sequence[float]]:
-    """A mask as a ``(base, coeffs)`` stencil.  Stencils hold a mask's tuple
-    or, once composed, the kernel's array."""
-    return m.base, m.coeffs
-
-
-def _floats(coeffs: Sequence[float]) -> Sequence[float]:
-    """A stencil's coefficients as Python floats."""
-    return coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
-
-
-# Stencils up to this long take their class sums in a Python loop, which
-# beats the fixed cost of the numpy calls on the short rules and products
-# of the contraction search and the transfer.
-_SHORT_STENCIL = 32
-
-
-def class_norm(stencil: tuple[int, Sequence[float]], arity: int) -> float:
-    """``residue_class_norm`` of a stencil.  The loop and ``np.bincount``
-    both add the weights of a class in index order, so they give the same
-    sums bit for bit."""
-    base, coeffs = stencil
-    if len(coeffs) > _SHORT_STENCIL:
-        classes = np.arange(base, base + len(coeffs)) % arity
-        return float(np.bincount(classes, np.abs(coeffs)).max())
-    sums = [0.0] * arity
-    for p, c in enumerate(_floats(coeffs), base):
-        sums[p % arity] += abs(c)
-    return max(sums)
-
-
-def stencil_difference(
-    a: tuple[int, Sequence[float]], b: tuple[int, Sequence[float]]
-) -> tuple[int, np.ndarray]:
-    """Stencil of ``a - b``, aligned by absolute index over the hull of
-    both: the floats of ``Mask.__sub__``, with exact-zero ends kept."""
-    (a_base, a_c), (b_base, b_c) = a, b
-    lo = min(a_base, b_base)
-    out = np.zeros(max(a_base + len(a_c), b_base + len(b_c)) - lo)
-    out[a_base - lo : a_base - lo + len(a_c)] = a_c
-    out[b_base - lo : b_base - lo + len(b_c)] -= b_c
-    return lo, out
-
-
 def compose(outer: ProductOperator, inner: ProductOperator) -> ProductOperator:
     """Collapse outer . inner (inner acts first) into one operator.
 
@@ -284,7 +215,7 @@ def compose(outer: ProductOperator, inner: ProductOperator) -> ProductOperator:
     arities multiply.
     """
     base, coeffs = compose_coeffs(stencil(outer.mask), stencil(inner.mask), outer.arity)
-    return ProductOperator(Mask(base, tuple(_floats(coeffs))), outer.levels + inner.levels)
+    return ProductOperator(Mask(base, coeffs), outer.levels + inner.levels)
 
 
 def residue_class_norm(m: Mask, arity: int) -> float:
@@ -298,23 +229,23 @@ def residue_class_norm(m: Mask, arity: int) -> float:
     return class_norm(stencil(m), arity)
 
 
-def products(rules: Sequence[Mask]):
-    """Yield the stencils of the products of the first 1, 2, ... arity-2
-    rules in level order, the first rule acting first: each next rule is
+def _compose_next(held, rule):
+    """The step of every level-ordered product: the next level's rule
     composed onto the held product as the outer factor, q(z) * P(z**2)."""
-    held = None
-    for m in rules:
-        held = stencil(m) if held is None else compose_coeffs(stencil(m), held, 2)
-        yield held
+    return compose_coeffs(rule, held, 2)
+
+
+def products(rules: Sequence[Mask]):
+    """The stencils of the products of the first 1, 2, ... arity-2 rules in
+    level order, the first rule acting first, as an iterator."""
+    return itertools.accumulate(map(stencil, rules), _compose_next)
 
 
 def _product(rules: Sequence[Mask]) -> tuple[int, Sequence[float]]:
     """Stencil of the product of all the rules, in level order."""
     if not rules:
         raise InvalidParameter("empty operator product")
-    for held in products(rules):
-        pass
-    return held
+    return functools.reduce(_compose_next, map(stencil, rules))
 
 
 def runs(rules: Sequence[Mask], n: int):
@@ -325,10 +256,8 @@ def runs(rules: Sequence[Mask], n: int):
 
 def compose_all(masks: Sequence[Mask]) -> ProductOperator:
     """Compose arity-2 rules; the LAST mask in the list acts first."""
-    if len(masks) == 1:
-        return ProductOperator(masks[0])
     base, coeffs = _product(masks[::-1])
-    return ProductOperator(Mask(base, tuple(_floats(coeffs))), len(masks))
+    return ProductOperator(Mask(base, coeffs), len(masks))
 
 
 def product_norm(masks: Sequence[Mask]) -> float:

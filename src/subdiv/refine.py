@@ -47,10 +47,21 @@ def _release_free_heap() -> None:
 @dataclass(frozen=True, eq=False)
 class RefinementState:
     """Values attached to the dyadic grid 2**-level * Z, on a finite valid
-    index interval."""
+    index interval.  Called with a point x, it evaluates their
+    piecewise-linear interpolant there (``pl_eval``)."""
 
     level: int
     window: Window
+
+    def domain(self) -> tuple[float, float]:
+        """The x-span of the valid indices."""
+        return (
+            math.ldexp(float(self.window.start), -self.level),
+            math.ldexp(float(self.window.stop - 1), -self.level),
+        )
+
+    def __call__(self, x: float) -> float:
+        return pl_eval(self, x)
 
     @property
     def deltas(self) -> Window:
@@ -71,21 +82,17 @@ class RefinementState:
         return float(top)
 
 
-def make_state(window: Window, level: int = 0) -> RefinementState:
-    return RefinementState(level=level, window=window)
-
-
 def impulse(halfwidth: int = 8, level: int = 0) -> RefinementState:
     """Unit impulse at index 0 padded with zeros on [-halfwidth, halfwidth]."""
     if halfwidth < 1:
         raise InvalidParameter("halfwidth must be at least 1")
     values = np.zeros(2 * halfwidth + 1)
     values[halfwidth] = 1.0
-    return make_state(Window(-halfwidth, values), level)
+    return RefinementState(level, Window(-halfwidth, values))
 
 
 def constant(value: float = 1.0, halfwidth: int = 8, level: int = 0) -> RefinementState:
-    return make_state(Window(-halfwidth, np.full(2 * halfwidth + 1, value)), level)
+    return RefinementState(level, Window(-halfwidth, np.full(2 * halfwidth + 1, value)))
 
 
 def refine_once(state: RefinementState, scheme: SchemeSpec) -> RefinementState:
@@ -145,29 +152,9 @@ def _check_difference_rule(q: Mask, state: RefinementState, new: Window) -> None
         )
 
 
-@dataclass(frozen=True, eq=False)
-class PLFunction:
-    """Piecewise-linear interpolant of a value window on its dyadic grid."""
-
-    level: int
-    window: Window
-
-    def domain(self) -> tuple[float, float]:
-        return (
-            math.ldexp(float(self.window.start), -self.level),
-            math.ldexp(float(self.window.stop - 1), -self.level),
-        )
-
-    def __call__(self, x: float) -> float:
-        return pl_eval(self, x)
-
-
-def pl_function(state: RefinementState) -> PLFunction:
-    return PLFunction(state.level, state.window)
-
-
-def pl_eval(f: PLFunction, x: float) -> float:
-    """Linear interpolation between the bracketing grid points."""
+def pl_eval(f: RefinementState, x: float) -> float:
+    """The piecewise-linear interpolant of ``f`` at x: linear interpolation
+    between the bracketing grid points."""
     t = math.ldexp(float(x), f.level)
     start, last = f.window.start, f.window.stop - 1
     if not start <= t <= last:

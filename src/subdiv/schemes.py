@@ -19,16 +19,11 @@ from .errors import (
     SimilarityNotEstablished,
     TailNotReached,
 )
-from .masks import DECAY_MARGIN, ROUND_TOL, TOL, Mask, coeff_norm, difference_mask, sup_norm
-from .operators import (
-    ContractionWitness,
-    class_norm,
-    condition_a_search,
-    products,
-    runs,
-    stencil,
-    stencil_difference,
+from .masks import (
+    DECAY_MARGIN, ROUND_TOL, TOL, Mask, class_norm, coeff_norm, difference_mask,
+    stencil, stencil_difference, sup_norm,
 )
+from .operators import ContractionWitness, condition_a_search, products, runs
 
 # Explicit compositions are kept exact up to this many factors; longer
 # prefixes fall back to a submultiplicative chunked upper bound (the
@@ -190,13 +185,10 @@ def boundedness_estimate(scheme: SchemeSpec, k_range: tuple[int, int]) -> Bounde
     levels.  A ``bound_hint`` on the scheme replaces the coefficient scan
     (it asserts the true supremum over all levels, not just the window)."""
     k_lo, k_hi = _clamp_range(scheme, *k_range)
-    if scheme.kind == "stationary":
-        m = scheme.mask_at(k_lo)
-        coeff, op = coeff_norm(m), sup_norm(m)
-    else:
-        masks = [scheme.mask_at(k) for k in range(k_lo, k_hi + 1)]
-        coeff = max(coeff_norm(m) for m in masks)
-        op = max(sup_norm(m) for m in masks)
+    coeff = op = 0.0
+    for k in range(k_lo, k_hi + 1):
+        m = scheme.mask_at(k)
+        coeff, op = max(coeff, coeff_norm(m)), max(op, sup_norm(m))
     if scheme.bound_hint is not None:
         return BoundednessReport(scheme.bound_hint, op, True, k_lo, k_hi)
     return BoundednessReport(coeff, op, False, k_lo, k_hi)

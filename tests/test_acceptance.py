@@ -168,10 +168,10 @@ def test_criterion_7_oracle_equivalence(rng):
 
 def _pl_from_sample(sample):
     from subdiv.operators import Window
-    from subdiv.refine import PLFunction
+    from subdiv.refine import RefinementState
 
     start = int(round(sample.xs[0] * 2 ** sample.level))
-    return PLFunction(sample.level, Window(start, sample.values))
+    return RefinementState(sample.level, Window(start, sample.values))
 
 
 def test_criterion_8_limit_spot_check():

@@ -90,6 +90,28 @@ def test_derham_eps_table():
         catalog.derham_nonstationary(2.0, alpha=1.0, eps=[0.1])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_derham_non_finite_parameters_refused(bad):
+    """NaN passes every ordered test and inf makes NaN weights, so the
+    catalog refuses both when it builds a scheme, in gamma, alpha and the
+    eps table."""
+    for build in (
+        lambda: catalog.derham_stationary(bad),
+        lambda: catalog.derham_nonstationary(bad, alpha=1.0),
+        lambda: catalog.derham_nonstationary(2.0, alpha=bad),
+        lambda: catalog.derham_nonstationary(2.0, eps=[0.5, bad]),
+    ):
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            build()
+
+
+def test_derham_overflowing_ratio_refused():
+    # finite parameters whose ratio gamma + alpha / k overflows to inf
+    s = catalog.derham_nonstationary(1.7e308, alpha=1.7e308)
+    with pytest.raises(InvalidParameter, match="ratio must be finite"):
+        s.mask_at(1)
+
+
 def test_derham_bound_hints():
     up = catalog.derham_nonstationary(2.0, alpha=2.5)
     g1 = 4.5

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -245,6 +246,8 @@ def test_json_golden_digests(argv, code, digests, tmp_path, monkeypatch, capsys)
                  id="compare-verbose"),
     pytest.param(["figure", "2", "--verbose"], id="figure2-verbose"),
     pytest.param(["analyze", "--scheme", "chaikin", "--format", "json"], id="analyze-format"),
+    pytest.param(["certify", "--scheme", "chaikin", "--comparator", "chaikin", "--window", "64"],
+                 id="certify-window"),
 ])
 def test_removed_options_exit2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -339,6 +342,32 @@ def test_memory_budget_admits_benchmark_runs():
         cli._check_memory(4 * 17, 1, levels, per_value)
 
 
+NAN_COEFF_SCHEME = {"kind": "stationary", "N": 2,
+                    "mask": {"base": -1, "coeffs": [0.25, float("nan"), 0.75, 0.25]}}
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["figure", "1", "--gamma", "nan"], 3, id="figure1-gamma-nan"),
+    pytest.param(["figure", "1", "--gamma", "inf"], 3, id="figure1-gamma-inf"),
+    pytest.param(["compare", "--scheme", "derham:gamma=nan,alpha=1", "--comparator", "chaikin",
+                  "--out", "cmp"], 2, id="compare-gamma-nan"),
+    pytest.param(["compare", "--scheme", "derham:gamma=2,alpha=inf",
+                  "--comparator", "derham_stationary:gamma=2"], 2, id="compare-alpha-inf"),
+    pytest.param(["analyze", "--scheme", "nan.json", "--out", "report.json"], 2,
+                 id="analyze-nan-coefficient"),
+])
+def test_non_finite_scheme_parameters_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
+    """A NaN or infinite scheme parameter or coefficient is refused with
+    the exit code a negative gamma gets, and writes no output file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.json").write_text(json.dumps(NAN_COEFF_SCHEME))
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert "nan" not in captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["nan.json"]
+
+
 def test_bad_scheme_exit2(capsys):
     assert run(["analyze", "--scheme", "not_a_scheme"]) == 2
     assert run(["analyze", "--scheme", "missing_file.json"]) == 2
@@ -400,24 +429,30 @@ def json_paths(obj, path=()):
 
 def mutate(obj, rng):
     """A copy of a JSON value with one value swapped for a bad one, or one
-    object key dropped."""
+    object key dropped, and the value swapped in (None for a drop)."""
     path = rng.choice(list(json_paths(obj)))
     if not path:
-        return rng.choice(BAD_VALUES)
+        bad = rng.choice(BAD_VALUES)
+        return bad, bad
     obj = json.loads(json.dumps(obj))  # a copy that shares no lists or objects
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
     if isinstance(parent, dict) and rng.random() < 0.25:
         del parent[path[-1]]
-    else:
-        parent[path[-1]] = rng.choice(BAD_VALUES)
-    return obj
+        return obj, None
+    bad = parent[path[-1]] = rng.choice(BAD_VALUES)
+    return obj, bad
+
+
+def non_finite(value) -> bool:
+    return isinstance(value, float) and not math.isfinite(value)
 
 
 def test_malformed_input_files_exit_codes(tmp_path):
     """Seeded mutations of valid scheme, initial-window and certificate
-    files end in a documented exit code, never in an exception."""
+    files end in a documented exit code, never in an exception; a scheme
+    file with a NaN or infinite value in it is refused on load (exit 2)."""
     cert_path = tmp_path / "cert.json"
     assert run(["certify", "--scheme", "chaikin", "--comparator", "chaikin",
                 "--out", str(cert_path)]) == 0
@@ -427,8 +462,10 @@ def test_malformed_input_files_exit_codes(tmp_path):
     refine_chaikin = ["refine", "--scheme", "chaikin", "--levels", "6"]
     rng = random.Random(20261018)
     for case in range(210):
+        codes = (0, 2, 3, 4)
         if case % 3 == 0:
-            path.write_text(json.dumps(mutate(rng.choice(VALID_SCHEMES), rng)))
+            scheme, bad = mutate(rng.choice(VALID_SCHEMES), rng)
+            path.write_text(json.dumps(scheme))
             argv = rng.choice([
                 ["analyze", "--scheme", str(path)],
                 ["compare", "--scheme", str(path), "--comparator", "chaikin",
@@ -436,10 +473,12 @@ def test_malformed_input_files_exit_codes(tmp_path):
                 ["certify", "--scheme", str(path), "--comparator", "chaikin"],
                 ["refine", "--scheme", str(path), "--levels", "6"],
             ])
+            if non_finite(bad):
+                codes = (2,)
         elif case % 3 == 1:
-            path.write_text(json.dumps(mutate(VALID_INITIAL, rng)))
+            path.write_text(json.dumps(mutate(VALID_INITIAL, rng)[0]))
             argv = refine_chaikin + ["--initial", str(path)]
         else:
-            path.write_text(json.dumps(mutate(rng.choice(certificates), rng)))
+            path.write_text(json.dumps(mutate(rng.choice(certificates), rng)[0]))
             argv = refine_chaikin + ["--certificate", str(path)]
-        assert run(argv) in (0, 2, 3, 4), path.read_text()
+        assert run(argv) in codes, path.read_text()

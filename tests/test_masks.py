@@ -220,3 +220,10 @@ def test_mask_json_roundtrip():
     obj = CHAIKIN.to_dict()
     assert obj == {"base": -1, "coeffs": [0.25, 0.75, 0.75, 0.25]}
     assert Mask.from_dict(obj) == CHAIKIN
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_mask_from_dict_refuses_non_finite(bad):
+    # Python's json reads NaN, Infinity and -Infinity as these floats
+    with pytest.raises(ValueError, match="must be finite"):
+        Mask.from_dict({"base": -1, "coeffs": [0.25, bad, 0.75, 0.25]})

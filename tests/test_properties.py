@@ -12,19 +12,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdiv.masks import Mask, coeff_norm, symbol_eval
+from subdiv.masks import (
+    Mask,
+    class_norm,
+    coeff_norm,
+    stencil,
+    stencil_difference,
+    sup_norm,
+    symbol_eval,
+)
 from subdiv.operators import (
     ProductOperator,
     Window,
     apply,
-    class_norm,
     compose,
     compose_all,
     product_norm,
     residue_class_norm,
     runs,
-    stencil,
-    stencil_difference,
 )
 
 derandomized = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -43,6 +48,11 @@ def cr_masks(draw) -> Mask:
 
 mask_lists = st.lists(cr_masks(), min_size=1, max_size=8)
 
+# Any masks: zero masks, signed zeros inside, long ones (past class_norm's
+# loop) and bases far enough apart for disjoint supports.
+coefficients = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+any_masks = st.builds(Mask, st.integers(-40, 40), st.lists(coefficients, max_size=48))
+
 
 def scale(*masks: Mask) -> float:
     """Product of the masks' absolute coefficient sums: a bound on every
@@ -57,6 +67,59 @@ def loop_class_norm(m: Mask, arity: int) -> float:
     for p, c in enumerate(m.coeffs):
         sums[(m.base + p) % arity] += abs(c)
     return max(sums)
+
+
+def loop_sup_norm(m: Mask) -> float:
+    """The even- and odd-index absolute sums as a parity loop: the
+    reference for ``sup_norm``."""
+    even = odd = 0.0
+    for p, c in enumerate(m.coeffs):
+        if (m.base + p) % 2 == 0:
+            even += abs(c)
+        else:
+            odd += abs(c)
+    return max(even, odd)
+
+
+def loop_combine(a: Mask, b: Mask, sign: float) -> Mask:
+    """Coefficient-wise a + sign*b, aligned by absolute integer index, one
+    index at a time: the reference for ``Mask.__add__`` (sign 1) and
+    ``Mask.__sub__`` (sign -1)."""
+    if a.is_zero:
+        return b * sign
+    if b.is_zero:
+        return a
+    lo = min(a.base, b.base)
+    hi = max(a.base + len(a) - 1, b.base + len(b) - 1)
+    return Mask(lo, tuple(a[i] + sign * b[i] for i in range(lo, hi + 1)))
+
+
+def bits(m: Mask) -> tuple[int, list[str]]:
+    """A mask's base and exact coefficient bits, signed zeros told apart."""
+    return m.base, [c.hex() for c in m.coeffs]
+
+
+@settings(derandomized, max_examples=400)
+@given(any_masks)
+def test_sup_norm_is_parity_loop(m):
+    assert sup_norm(m) == loop_sup_norm(m) == loop_class_norm(m, 2)
+
+
+@settings(derandomized, max_examples=400)
+@given(any_masks, any_masks)
+def test_mask_sum_and_difference_are_index_loop(a, b):
+    """Bit for bit, except that with a zero-mask operand a zero coefficient
+    may come out with the other sign: the loop returned the other operand
+    (times the sign) as it was, the kernel adds it to zeros.  Where a sum
+    overflows, both give inf, and numpy also warns."""
+    with np.errstate(over="ignore"):
+        results = ((a + b, 1.0), (a - b, -1.0))
+    for got, sign in results:
+        want = loop_combine(a, b, sign)
+        if a.is_zero or b.is_zero:
+            assert got == want
+        else:
+            assert bits(got) == bits(want)
 
 
 @derandomized
@@ -86,13 +149,15 @@ def test_runs_are_level_ordered_products(rules, n):
 @derandomized
 @given(mask_lists, mask_lists)
 def test_stencil_difference_is_mask_difference(a, b):
-    """The aligned stencil difference holds the floats of Mask.__sub__, so
-    its class norm is the norm of the difference mask bit for bit."""
+    """The aligned stencil difference holds the floats of the per-index
+    loop, so its class norm is the norm of the difference mask bit for
+    bit."""
     ma, mb = compose_all(a).mask, compose_all(b).mask
     base, diff = stencil_difference(stencil(ma), stencil(mb))
-    assert Mask(base, tuple(diff.tolist())) == ma - mb
+    want = loop_combine(ma, mb, -1.0)
+    assert bits(Mask(base, diff)) == bits(want)
     arity = 2 ** max(len(a), len(b))
-    assert class_norm((base, diff), arity) == residue_class_norm(ma - mb, arity)
+    assert class_norm((base, diff), arity) == loop_class_norm(want, arity)
 
 
 @derandomized

@@ -9,15 +9,13 @@ from subdiv.errors import EmptyOutput, InvalidParameter, OutOfDomain
 from subdiv.masks import LINEAR_BSPLINE, Mask, difference_mask
 from subdiv.operators import Window, apply
 from subdiv.refine import (
-    PLFunction,
+    RefinementState,
     cauchy_norm,
     constant,
     decay_report,
     impulse,
     limit_sample,
-    make_state,
     pl_eval,
-    pl_function,
     pl_gap,
     refine_once,
 )
@@ -54,7 +52,7 @@ def test_difference_commutation_along_run(rng):
     for _ in range(20):
         masks = [random_cr_mask(rng, max_support=6) for _ in range(4)]
         scheme = table_scheme(masks, k0=0)
-        st = make_state(Window(-24, rng.uniform(-1, 1, 49)), level=0)
+        st = RefinementState(0, Window(-24, rng.uniform(-1, 1, 49)))
         for k in range(4):
             q = difference_mask(masks[k])
             via_rule = apply(q, st.deltas)
@@ -75,7 +73,7 @@ def test_cross_check_catches_rule_error_in_any_block(monkeypatch, spike):
     scheme = catalog.chaikin()
     values = np.zeros(101)
     values[spike] = 1.0
-    st = make_state(Window(-50, values), level=0)
+    st = RefinementState(0, Window(-50, values))
     assert len(refine_once(st, scheme).window) >= 3 * operators._BLOCK
     q = difference_mask(scheme.mask_at(0))
     off = Mask(q.base, (q.coeffs[0] + 1e-9, *q.coeffs[1:]))
@@ -91,7 +89,7 @@ def test_cross_check_tolerance_scales_with_values(monkeypatch, scale):
     and a difference rule off by 1e-9 is still caught at that size."""
     rng = np.random.default_rng(7)
     scheme = catalog.derham_nonstationary(2.3, alpha=1.1)
-    st = make_state(Window(-20, rng.uniform(-scale, scale, 41)), level=1)
+    st = RefinementState(1, Window(-20, rng.uniform(-scale, scale, 41)))
     for _ in range(8):
         st = refine_once(st, scheme)
     q = difference_mask(scheme.mask_at(st.level))
@@ -105,9 +103,9 @@ def test_valid_interval_nests():
     scheme = catalog.derham_nonstationary(2.0, alpha=1.5)
     st = impulse(8, level=1)
     for _ in range(8):
-        before = pl_function(st).domain()
+        before = st.domain()
         st = refine_once(st, scheme)
-        after = pl_function(st).domain()
+        after = st.domain()
         assert before[0] <= after[0] and after[1] <= before[1]
 
 
@@ -118,20 +116,19 @@ def test_refine_level_below_start_rejected():
 
 def test_pl_eval():
     st = refine_once(impulse(4), catalog.chaikin())
-    f = pl_function(st)
-    assert pl_eval(f, -0.5) == pytest.approx(0.25, abs=1e-15)  # grid point
-    assert pl_eval(f, -0.25) == pytest.approx(0.5, abs=1e-15)  # midpoint
-    assert f(0.25) == pytest.approx(0.75, abs=1e-15)
-    lo, hi = f.domain()
-    assert pl_eval(f, hi) == st.window.value_at(st.window.stop - 1)
+    assert pl_eval(st, -0.5) == pytest.approx(0.25, abs=1e-15)  # grid point
+    assert pl_eval(st, -0.25) == pytest.approx(0.5, abs=1e-15)  # midpoint
+    assert st(0.25) == pytest.approx(0.75, abs=1e-15)
+    lo, hi = st.domain()
+    assert pl_eval(st, hi) == st.window.value_at(st.window.stop - 1)
     with pytest.raises(OutOfDomain):
-        pl_eval(f, hi + 0.1)
+        pl_eval(st, hi + 0.1)
 
 
 def brute_gap(level: int, coarse: Window, fine: Window) -> float:
     """Oracle: evaluate both interpolants at every fine breakpoint of the
     common span with pl_eval."""
-    f0, f1 = PLFunction(level, coarse), PLFunction(level + 1, fine)
+    f0, f1 = RefinementState(level, coarse), RefinementState(level + 1, fine)
     lo = max(f0.domain()[0], f1.domain()[0])
     hi = min(f0.domain()[1], f1.domain()[1])
     scale = 2 ** (level + 1)
@@ -297,7 +294,7 @@ def test_limit_sample_figure_family_ordering():
 
 def test_empty_output_on_narrow_window():
     # a single value offers no full four-tap stencil at the next level
-    st = make_state(Window(0, [1.0]), level=0)
+    st = RefinementState(0, Window(0, [1.0]))
     with pytest.raises(EmptyOutput):
         refine_once(st, catalog.chaikin())
 

@@ -5,6 +5,10 @@ Exit codes are a stable contract: 0 success/certified, 2 load or parse
 failure, 3 precondition failure, 4 inconclusive.  Inconclusive is never
 conflated with "not convergent": the windowed tests are one-sided.
 Identical invocations produce byte-identical output files.
+
+Commands raise ``SubdivError``; ``main`` alone maps it to exit 3 or 4 and
+writes the one failure record, ``{<verdict>: false, "reason": {...}}``, to
+the record path each subcommand declares.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ FIGURE2_ITERATIONS = (8, 12, 16)
 # those strings are a large share, and 15.4 for figure 2 --out).
 _ARRAY_BYTES = 12
 _ROW_BYTES = 36
+# Bytes analyze's report holds per listed level: the level's entry, with
+# its parity sums and difference rule.  tracemalloc measured 857 a level
+# for derham:gamma=2,alpha=1.5 over --k-range 1:20000.
+_REPORT_LEVEL_BYTES = 1024
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -96,26 +104,6 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
                 fh.write("".join(map(row.format, *(_cells(c[a:b]) for c in columns))))
 
 
-def _reason(exc: Exception) -> dict:
-    reason = {"type": type(exc).__name__, "message": str(exc)}
-    level = getattr(exc, "level", None)
-    if level is not None:
-        reason["level"] = level
-    return reason
-
-
-def _failure(kind: str, exc: Exception, out: str | None) -> None:
-    _emit_json({kind: False, "reason": _reason(exc)}, out)
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-
-
-def _map_failure(kind: str, exc: Exception, out: str | None) -> int:
-    _failure(kind, exc, out)
-    if isinstance(exc, (TailNotReached, ContractionNotFound)):
-        return EXIT_INCONCLUSIVE
-    return EXIT_PRECONDITION
-
-
 def _load_scheme(text: str):
     try:
         return catalog.parse_scheme_arg(text)
@@ -130,8 +118,10 @@ def cmd_analyze(args) -> int:
     if scheme.max_level is not None:
         k_hi = min(k_hi, scheme.max_level)
     levels = range(k_lo, k_hi + 1) if scheme.kind != "stationary" else [scheme.k0]
-
-    report: dict = {"scheme": scheme.to_dict(), "levels": {}}
+    # a failure record keeps the report built so far
+    report = args.report = {"scheme": scheme.to_dict(), "levels": {}, "contraction": None}
+    check_budget(_REPORT_LEVEL_BYTES * len(levels),
+                 f"a report on levels {k_lo} to {k_hi}")
     all_ok = True
     for k in levels:
         m = scheme.mask_at(k)
@@ -153,31 +143,20 @@ def cmd_analyze(args) -> int:
         all_ok = all_ok and ok
         print(line)
 
-    bound = boundedness_estimate(scheme, (k_lo, k_hi))
-    report["boundedness"] = bound.to_dict()
+    report["boundedness"] = boundedness_estimate(scheme, (k_lo, k_hi)).to_dict()
+    if not all_ok:
+        raise NotConstantReproducing(
+            "constant reproduction fails on scanned levels; no difference "
+            "scheme exists"
+        )
     try:
-        if not all_ok:
-            raise NotConstantReproducing(
-                "constant reproduction fails on scanned levels; no difference "
-                "scheme exists"
-            )
         # the search also reads levels past the ones listed above
         witness = condition_a_search(
             scheme, n_max=args.n_max, K_max=args.K_max, window=args.window
         )
-    except NotConstantReproducing as exc:
-        report["contraction"] = None
-        report["ok"] = False
-        report["reason"] = _reason(exc)
-        _emit_json(report, args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except ContractionNotFound as exc:
-        report["contraction"] = None
         report["scan"] = [list(c) for c in exc.scan]
-        _emit_json(report, args.out)
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        raise
     report["contraction"] = witness.to_dict()
     if args.verbose:
         report["scan"] = [
@@ -200,10 +179,7 @@ def cmd_compare(args) -> int:
     a = _load_scheme(args.scheme)
     b = _load_scheme(args.comparator)
     k_lo, k_hi = args.k_range or (max(a.k0, b.k0), max(a.k0, b.k0) + 63)
-    try:
-        report = similarity_report(a, b, (k_lo, k_hi))
-    except SubdivError as exc:
-        return _map_failure("ok", exc, args.out and args.out + ".json")
+    report = similarity_report(a, b, (k_lo, k_hi))
     print(f"similar: {report.similar}; equivalent: {report.equivalent}"
           + (" (analytic)" if report.analytic else ""))
     if report.decay_fit:
@@ -222,13 +198,10 @@ def cmd_compare(args) -> int:
 def cmd_certify(args) -> int:
     target = _load_scheme(args.scheme)
     comparator = _load_scheme(args.comparator)
-    try:
-        cert = certify_theorem4(
-            target, comparator, eta=args.eta, k_range=args.k_range, mu=args.mu,
-            n_max=args.n_max,
-        )
-    except SubdivError as exc:
-        return _map_failure("certified", exc, args.out)
+    cert = certify_theorem4(
+        target, comparator, eta=args.eta, k_range=args.k_range, mu=args.mu,
+        n_max=args.n_max,
+    )
     payload = {"certified": True, "certificate": cert.to_dict(),
                "target": target.to_dict(), "comparator": comparator.to_dict()}
     _emit_json(payload, args.out)
@@ -279,22 +252,19 @@ def cmd_refine(args) -> int:
         try:
             with open(args.certificate, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-            if isinstance(obj, dict):
-                obj = obj.get("certificate", obj)
-            cert = ConvergenceCertificate.from_dict(obj)
+            payload = obj if isinstance(obj, dict) else {}
+            cert = ConvergenceCertificate.from_dict(payload.get("certificate", obj))
         except (OSError, KeyError, ValueError) as exc:
             print(f"error loading certificate: {exc}", file=sys.stderr)
             return EXIT_LOAD
-    try:
-        state = _initial_state(args, scheme)
-        report = refine.decay_report(scheme, state, args.levels, certificate=cert)
-    except EmptyOutput as exc:
-        _failure("ok", exc, None)
-        print("hint: enlarge --halfwidth so the valid interval survives "
-              f"{args.levels} levels", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except SubdivError as exc:
-        return _map_failure("ok", exc, None)
+        # a bare certificate names no scheme, so it cannot be checked here
+        if "target" in payload and payload["target"] != scheme.to_dict():
+            raise InvalidParameter(
+                f"the certificate was issued for {json.dumps(payload['target'])}, "
+                f"not for --scheme {json.dumps(scheme.to_dict())}"
+            )
+    state = _initial_state(args, scheme)
+    report = refine.decay_report(scheme, state, args.levels, certificate=cert)
     print(f"rho_emp = {report.rho_emp!r}"
           + (" (non-contractive)" if report.non_contractive else ""))
     if report.bounds_hold is not None:
@@ -307,21 +277,14 @@ def cmd_refine(args) -> int:
 
 def cmd_figure(args) -> int:
     # both figures refine schemes that start at level 1
-    levels = args.levels if args.which == 1 else 1 + max(FIGURE2_ITERATIONS)
-    _check_memory(2 * args.halfwidth + 1, 1, levels,
+    _check_memory(2 * args.halfwidth + 1, 1, args.levels,
                   _ROW_BYTES if args.out else _ARRAY_BYTES)
-    if args.which == 1:
-        gamma = args.gamma
+    if args.which == "1":
         peaks = []
         for alpha in FIGURE1_ALPHAS:
-            scheme = catalog.derham_nonstationary(gamma, alpha=alpha)
+            scheme = catalog.derham_nonstationary(args.gamma, alpha=alpha)
             state = refine.impulse(args.halfwidth, level=scheme.k0)
-            try:
-                sample = refine.limit_sample(scheme, state, args.levels)
-            except EmptyOutput as exc:
-                _failure("ok", exc, None)
-                print("hint: enlarge --halfwidth", file=sys.stderr)
-                return EXIT_PRECONDITION
+            sample = refine.limit_sample(scheme, state, args.levels)
             peaks.append((alpha, sample.peak))
             if args.out:
                 path = f"{args.out}_alpha_{alpha:+.1f}.csv"
@@ -335,17 +298,12 @@ def cmd_figure(args) -> int:
     traces = {}
     gaps = []
     s = state
-    try:
-        for step in range(1, max(FIGURE2_ITERATIONS) + 1):
-            nxt = refine.refine_once(s, scheme)
-            gaps.append(refine.pl_gap(s.window, nxt.window))
-            s = nxt
-            if step in FIGURE2_ITERATIONS:
-                traces[step] = s
-    except EmptyOutput as exc:
-        _failure("ok", exc, None)
-        print("hint: enlarge --halfwidth", file=sys.stderr)
-        return EXIT_PRECONDITION
+    for step in range(1, max(FIGURE2_ITERATIONS) + 1):
+        nxt = refine.refine_once(s, scheme)
+        gaps.append(refine.pl_gap(s.window, nxt.window))
+        s = nxt
+        if step in FIGURE2_ITERATIONS:
+            traces[step] = s
     if args.out:
         _write_csv(args.out, ["k", "x", "value"], (
             (np.full(len(st.window), st.level), st.xs(), st.window.values)
@@ -385,11 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=64)
     p.add_argument("--verbose", action="store_true",
                    help="list every difference rule and the whole contraction scan")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, verdict="ok", record_path=lambda a: a.out)
 
     p = sub.add_parser("compare", help="asymptotic similarity / equivalence report")
     _add_common(p, comparator=True)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, verdict="ok",
+                   record_path=lambda a: a.out and a.out + ".json")
 
     p = sub.add_parser("certify", help="convergence certificate against a stationary comparator")
     _add_common(p, comparator=True)
@@ -398,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decay rate quoted in the bound (sets mu = eta**n)")
     p.add_argument("--mu", type=float, default=None,
                    help="override the transferred contraction bound")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_certify, verdict="certified", record_path=lambda a: a.out)
 
     p = sub.add_parser("refine", help="decay report for a scheme run")
     _add_common(p, k_range=False)
@@ -409,28 +368,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--halfwidth", type=int, default=8)
     p.add_argument("--certificate", default=None,
                    help="certificate JSON to check bounds against")
-    p.set_defaults(func=cmd_refine)
+    p.set_defaults(func=cmd_refine, verdict="ok", record_path=lambda a: None)
 
     p = sub.add_parser("figure", help="reproduce the corner-cutting experiments")
-    p.add_argument("which", type=int, choices=(1, 2))
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--levels", type=int, default=12)
-    p.add_argument("--halfwidth", type=int, default=8)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_figure)
+    figures = p.add_subparsers(dest="which", required=True, metavar="{1,2}")
+    fig1 = figures.add_parser("1", help="limit curves of five drifts of a corner-cutting ratio")
+    fig1.add_argument("--gamma", type=float, default=2.0)
+    fig1.add_argument("--levels", type=int, default=12)
+    # figure 2 always refines to the level of its last trace
+    fig2 = figures.add_parser("2", help="refinement traces of the divergence control")
+    fig2.set_defaults(levels=1 + max(FIGURE2_ITERATIONS))
+    for p in (fig1, fig2):
+        p.add_argument("--halfwidth", type=int, default=8)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_figure, verdict="ok", record_path=lambda a: None)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.report = {}
     try:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_LOAD
-    except InvalidParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except SubdivError as exc:
+        inconclusive = isinstance(exc, (TailNotReached, ContractionNotFound))
+        reason = {"type": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "level", None) is not None:
+            reason["level"] = exc.level
+        _emit_json({**args.report, args.verdict: False, "reason": reason},
+                   args.record_path(args))
+        print(f"{'inconclusive' if inconclusive else 'error'}: {reason['type']}: {exc}",
+              file=sys.stderr)
+        if isinstance(exc, EmptyOutput):
+            print("hint: enlarge --halfwidth", file=sys.stderr)
+        return EXIT_INCONCLUSIVE if inconclusive else EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -23,12 +23,23 @@ from .masks import (
     DECAY_MARGIN, ROUND_TOL, TOL, Mask, class_norm, coeff_norm, difference_mask,
     stencil, stencil_difference, sup_norm,
 )
-from .operators import ContractionWitness, condition_a_search, products, runs
+from .operators import (
+    ContractionWitness, check_budget, condition_a_search, products, runs,
+)
 
 # Explicit compositions are kept exact up to this many factors; longer
 # prefixes fall back to a submultiplicative chunked upper bound (the
 # composed stencil grows like 2**length and becomes unrepresentable).
 _EXACT_PRODUCT_CAP = 16
+# Peak bytes per scanned level, charged against the memory budget before
+# the first level is read.  A similarity report keeps three per-level
+# lists: tracemalloc measured 167-177 bytes a level over 20000 levels.  A
+# transfer also holds each level's difference rule and two product norms,
+# and a level-dependent comparator's rules: 424 bytes a level for corner
+# cutting (N = 2, n = 1), 502 for a 4-point rule (N = 3, n = 2) and 656
+# against a level-dependent comparator.
+_SIMILARITY_LEVEL_BYTES = 200
+_TRANSFER_LEVEL_BYTES = 800
 
 
 @dataclass(frozen=True)
@@ -273,6 +284,8 @@ def similarity_report(
     k_lo, k_hi = k_range
     if k_hi - k_lo + 1 < 8:
         raise InvalidParameter("similarity window must cover at least 8 levels")
+    check_budget(_SIMILARITY_LEVEL_BYTES * (k_hi - k_lo + 1),
+                 f"a similarity report on levels {k_lo} to {k_hi}")
     ks, diffs, psums = [], [], []
     running = 0.0
     for k in range(k_lo, k_hi + 1):
@@ -359,6 +372,8 @@ def _transfer(
         )
     eps = (mu - mu_star) / 2.0
 
+    check_budget(_TRANSFER_LEVEL_BYTES * (k_hi - k_lo + n),
+                 f"a transfer over levels {k_lo} to {k_hi + n - 1}")
     # Constant reproduction on every scanned target level, checked before
     # similarity so the failure reported first is the binding one.
     target_q = [target.difference_mask_at(k) for k in range(k_lo, k_hi + n)]

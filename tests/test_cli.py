@@ -3,6 +3,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -165,6 +167,29 @@ def test_refine_with_certificate(tmp_path, capsys):
     assert float(first[3]) == pytest.approx(7.0, abs=1e-12)  # Gamma * mu_hat**0
 
 
+@pytest.mark.parametrize("payload", [True, False], ids=["payload", "bare"])
+def test_refine_certificate_target(payload, tmp_path, capsys):
+    """A certificate file that names its target is refused for another
+    scheme (exit 3); a bare certificate names none and is accepted."""
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", "--scheme", "derham:gamma=2,alpha=1.5", "--comparator", "chaikin",
+                "--out", str(cert_path)]) == 0
+    if not payload:
+        cert_path.write_text(json.dumps(json.loads(cert_path.read_text())["certificate"]))
+    capsys.readouterr()
+    code = run(["refine", "--scheme", "chaikin", "--levels", "8", "--certificate", str(cert_path)])
+    captured = capsys.readouterr()
+    if payload:
+        assert code == 3
+        reason = one_record(captured.out)["reason"]
+        assert reason["type"] == "InvalidParameter"
+        assert '"name": "derham"' in reason["message"]
+        assert '"coeffs": [0.25, 0.75, 0.75, 0.25]' in reason["message"]
+    else:
+        assert code == 0
+        assert "certified bounds hold" in captured.out
+
+
 def test_refine_custom_initial(tmp_path, capsys):
     data = tmp_path / "window.json"
     data.write_text(json.dumps({"start": -4, "values": [0, 0, 0, 1, 1, 0, 0, 0, 0],
@@ -248,6 +273,8 @@ def test_json_golden_digests(argv, code, digests, tmp_path, monkeypatch, capsys)
     pytest.param(["analyze", "--scheme", "chaikin", "--format", "json"], id="analyze-format"),
     pytest.param(["certify", "--scheme", "chaikin", "--comparator", "chaikin", "--window", "64"],
                  id="certify-window"),
+    pytest.param(["figure", "2", "--gamma", "5"], id="figure2-gamma"),
+    pytest.param(["figure", "2", "--levels", "3"], id="figure2-levels"),
 ])
 def test_removed_options_exit2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -316,12 +343,20 @@ def test_memory_budget_refusal(argv, tmp_path, monkeypatch, capsys):
                  id="analyze-K-max"),
     pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--window", str(10**9)],
                  id="analyze-window"),
+    pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5",
+                  "--k-range", f"1:{10**9}"], id="analyze-k-range"),
+    pytest.param(["compare", "--scheme", "derham:gamma=2,alpha=1.5",
+                  "--comparator", "derham_stationary:gamma=2", "--k-range", f"1:{10**9}"],
+                 id="compare-k-range"),
+    pytest.param(["certify", "--scheme", "derham:gamma=2,alpha=1.5",
+                  "--comparator", "derham_stationary:gamma=2", "--k-range", f"1:{10**9}"],
+                 id="certify-k-range"),
 ])
 def test_n_max_budget_refusal(argv, capsys):
     """An n-fold product stencil holds about len(q) * 2**n coefficients, so
     an exponential --n-max exits 3 before any product is composed; so does
-    a --K-max or --window whose levels' difference rules would not fit,
-    before any rule is built."""
+    a --K-max, --window or --k-range whose levels would not fit, before the
+    first level is read."""
     tracemalloc.start()
     try:
         code = run(argv)
@@ -364,7 +399,13 @@ def test_non_finite_scheme_parameters_exit_codes(argv, code, tmp_path, monkeypat
     assert run(argv) == code
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
-    assert "nan" not in captured.out
+    if code == 3:
+        # one failure record and nothing else: no "peak =" line
+        record = json.loads(captured.out)
+        assert record["ok"] is False and record["reason"]["type"] == "InvalidParameter"
+        assert "peak =" not in captured.out
+    else:
+        assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["nan.json"]
 
 
@@ -449,10 +490,11 @@ def non_finite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
-def test_malformed_input_files_exit_codes(tmp_path):
+def test_malformed_input_files_exit_codes(tmp_path, capsys):
     """Seeded mutations of valid scheme, initial-window and certificate
     files end in a documented exit code, never in an exception; a scheme
-    file with a NaN or infinite value in it is refused on load (exit 2)."""
+    file with a NaN or infinite value in it is refused on load (exit 2).
+    Every exit 3 or 4 leaves one failure record on stdout."""
     cert_path = tmp_path / "cert.json"
     assert run(["certify", "--scheme", "chaikin", "--comparator", "chaikin",
                 "--out", str(cert_path)]) == 0
@@ -481,4 +523,97 @@ def test_malformed_input_files_exit_codes(tmp_path):
         else:
             path.write_text(json.dumps(mutate(rng.choice(certificates), rng)[0]))
             argv = refine_chaikin + ["--certificate", str(path)]
-        assert run(argv) in codes, path.read_text()
+        code = run(argv)
+        assert code in codes, path.read_text()
+        out = capsys.readouterr().out
+        if code in (3, 4):
+            record = one_record(out)
+            assert record["certified" if argv[0] == "certify" else "ok"] is False
+            assert record["reason"]["type"]
+
+
+BOX_SCHEME = {"kind": "stationary", "mask": {"base": 0, "coeffs": [1.0, 1.0]}, "N": 1}
+
+
+def one_record(text: str) -> dict:
+    """The one JSON record in a command's output, after any plain lines."""
+    lines = text.splitlines(keepends=True)
+    start = lines.index("{\n")
+    assert "{\n" not in lines[:start]
+    return json.loads("".join(lines[start:]))  # refuses trailing text
+
+
+@pytest.mark.parametrize("argv, code, verdict, path, kind", [
+    pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--k-range", "0:16"],
+                 3, "ok", None, "InvalidParameter", id="analyze-k-range"),
+    pytest.param(["analyze", "--scheme", "chaikin", "--n-max", "60", "--verbose"],
+                 3, "ok", None, "InvalidParameter", id="analyze-n-max"),
+    pytest.param(["analyze", "--scheme", "perturbed_chaikin", "--k-range", "1:16"],
+                 3, "ok", None, "NotConstantReproducing", id="analyze-exit3"),
+    pytest.param(["analyze", "--scheme", "box.json", "--out", "report.json"],
+                 4, "ok", "report.json", "ContractionNotFound", id="analyze-exit4"),
+    pytest.param(["compare", "--scheme", "chaikin", "--comparator", "chaikin",
+                  "--k-range", "1:4", "--out", "cmp"],
+                 3, "ok", "cmp.json", "InvalidParameter", id="compare"),
+    pytest.param(["certify", "--scheme", "chaikin", "--comparator", "derham:gamma=2,alpha=1.5"],
+                 3, "certified", None, "InvalidParameter", id="certify"),
+    pytest.param(["certify", "--scheme", "perturbed_chaikin", "--comparator", "chaikin",
+                  "--out", "cert.json"],
+                 3, "certified", "cert.json", "NotConstantReproducing", id="certify-exit3"),
+    pytest.param(["certify", "--scheme", "derham:gamma=2,alpha=1000", "--comparator", "chaikin",
+                  "--out", "cert.json"],
+                 4, "certified", "cert.json", "TailNotReached", id="certify-exit4"),
+    pytest.param(["refine", "--scheme", "chaikin", "--levels", "60"],
+                 3, "ok", None, "InvalidParameter", id="refine"),
+    pytest.param(["refine", "--scheme", "chaikin", "--initial", "one.json"],
+                 3, "ok", None, "EmptyOutput", id="refine-empty-output"),
+    pytest.param(["figure", "1", "--levels", "60"], 3, "ok", None, "InvalidParameter",
+                 id="figure1-levels"),
+    pytest.param(["figure", "1", "--gamma", "nan"], 3, "ok", None, "InvalidParameter",
+                 id="figure1-gamma"),
+    pytest.param(["figure", "2", "--halfwidth", "0"], 3, "ok", None, "InvalidParameter",
+                 id="figure2-halfwidth"),
+])
+def test_failure_record(argv, code, verdict, path, kind, tmp_path, monkeypatch, capsys):
+    """Every exit 3 or 4 writes one failure record to the command's record
+    path (its JSON --out, or stdout) and one stderr line naming the type."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "box.json").write_text(json.dumps(BOX_SCHEME))
+    (tmp_path / "one.json").write_text(json.dumps({"start": 0, "values": [1.0], "level": 0}))
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    if path:
+        assert "{" not in captured.out
+        record = one_record((tmp_path / path).read_text())
+    else:
+        record = one_record(captured.out)
+    assert record[verdict] is False
+    assert record["reason"]["type"] == kind
+    prefix = "inconclusive" if code == 4 else "error"
+    assert captured.err.splitlines() == [
+        f"{prefix}: {kind}: {record['reason']['message']}",
+        *(["hint: enlarge --halfwidth"] if kind == "EmptyOutput" else []),
+    ]
+    if argv[0] == "analyze":
+        assert record["contraction"] is None and "scheme" in record
+        assert ("scan" in record) == (code == 4)
+
+
+def readme_cli_lines():
+    """The commands of README's CLI block, each with the exit code its
+    "# exit N" comment names (0 when it names none)."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.replace("\\\n", " ").splitlines():
+        expected = re.search(r"#\s*exit (\d)", line)
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "subdiv"
+        yield argv[1:], int(expected.group(1)) if expected else 0
+
+
+def test_readme_cli_block(tmp_path, monkeypatch, capsys):
+    """README's CLI example runs, line by line, with the exit codes it shows."""
+    monkeypatch.chdir(tmp_path)
+    lines = list(readme_cli_lines())
+    assert len(lines) >= 7
+    assert [run(argv) for argv, _ in lines] == [code for _, code in lines]

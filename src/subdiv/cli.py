@@ -6,9 +6,10 @@ failure, 3 precondition failure, 4 inconclusive.  Inconclusive is never
 conflated with "not convergent": the windowed tests are one-sided.
 Identical invocations produce byte-identical output files.
 
-Commands raise ``SubdivError``; ``main`` alone maps it to exit 3 or 4 and
-writes the one failure record, ``{<verdict>: false, "reason": {...}}``, to
-the record path each subcommand declares.
+Commands raise ``SubdivError``; ``main`` alone maps it to exit 3 or 4, and
+an output file that cannot be written to exit 3.  It writes the one failure
+record, ``{<verdict>: false, "reason": {...}}``, to the record path each
+subcommand declares, or to stdout when that path cannot be written.
 """
 
 from __future__ import annotations
@@ -393,17 +394,25 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_LOAD
-    except SubdivError as exc:
+    except (SubdivError, OSError) as exc:
+        # commands read their inputs under their own guards, so an OSError
+        # here comes from writing an output file
         inconclusive = isinstance(exc, (TailNotReached, ContractionNotFound))
         reason = {"type": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "level", None) is not None:
             reason["level"] = exc.level
-        _emit_json({**args.report, args.verdict: False, "reason": reason},
-                   args.record_path(args))
+        record = {**args.report, args.verdict: False, "reason": reason}
+        try:
+            _emit_json(record, args.record_path(args))
+        except OSError:
+            _emit_json(record, None)
         print(f"{'inconclusive' if inconclusive else 'error'}: {reason['type']}: {exc}",
               file=sys.stderr)
         if isinstance(exc, EmptyOutput):
             print("hint: enlarge --halfwidth", file=sys.stderr)
+        if isinstance(exc, ContractionNotFound) and exc.scan:
+            n, K, mu = min(exc.scan, key=lambda cell: cell[2])
+            print(f"closest miss: mu = {mu!r} at n = {n}, K = {K}", file=sys.stderr)
         return EXIT_INCONCLUSIVE if inconclusive else EXIT_PRECONDITION
 
 

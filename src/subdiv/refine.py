@@ -259,6 +259,17 @@ def _fit_rate(ks: tuple[int, ...], vals: tuple[float, ...]) -> float | None:
     return float(np.exp(slope))
 
 
+def _check_certified_start(scheme: SchemeSpec, initial: RefinementState,
+                           certificate: ConvergenceCertificate | None) -> None:
+    """A certificate bounds the products of the scheme's rules from its k0
+    on, so it says nothing about a run that starts at a later level."""
+    if certificate is not None and initial.level != scheme.k0:
+        raise InvalidParameter(
+            f"certified bounds hold for a run that starts at the scheme's level "
+            f"{scheme.k0}, not at level {initial.level}"
+        )
+
+
 def decay_report(
     scheme: SchemeSpec,
     initial: RefinementState,
@@ -269,12 +280,13 @@ def decay_report(
 
     Divergence is a reported outcome, never an error; data that hold NaN
     or inf, or overflow, raise InvalidParameter naming the level.  With a
-    certificate, each level is checked against
-    C1 * mu_hat**k * ||initial differences|| for the differences and
-    Gamma * mu_hat**k * ... for the gaps.
+    certificate, which needs a run that starts at the scheme's k0, each
+    level is checked against C1 * mu_hat**k * ||initial differences|| for
+    the differences and Gamma * mu_hat**k * ... for the gaps.
     """
     if k_max < initial.level + 4:
         raise InvalidParameter("k_max must allow at least 4 levels")
+    _check_certified_start(scheme, initial, certificate)
     # ks is built after the loop: refine_once first refuses a level below
     # the scheme's start, which would otherwise size a tuple of any length.
     levels = range(initial.level, k_max + 1)
@@ -339,9 +351,12 @@ def limit_sample(
     depth: int,
     certificate: ConvergenceCertificate | None = None,
 ) -> LimitSample:
-    """Refine to level ``depth`` and return (x, value) samples."""
+    """Refine to level ``depth`` and return (x, value) samples, with the
+    certified error bound when a certificate is given (the run must then
+    start at the scheme's k0)."""
     if depth < max(1, initial.level + 1):
         raise InvalidParameter("depth must exceed the starting level")
+    _check_certified_start(scheme, initial, certificate)
     d0 = initial.delta_sup()
     s = initial
     while s.level < depth:

@@ -5,7 +5,6 @@ explicit error constants."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -34,10 +33,9 @@ _EXACT_PRODUCT_CAP = 16
 # Peak bytes per scanned level, charged against the memory budget before
 # the first level is read.  A similarity report keeps three per-level
 # lists: tracemalloc measured 167-177 bytes a level over 20000 levels.  A
-# transfer also holds each level's difference rule and two product norms,
-# and a level-dependent comparator's rules: 424 bytes a level for corner
-# cutting (N = 2, n = 1), 502 for a 4-point rule (N = 3, n = 2) and 656
-# against a level-dependent comparator.
+# transfer also holds each level's difference rule and two product norms:
+# 424 bytes a level for corner cutting (N = 2, n = 1) and 502 for a
+# 4-point rule (N = 3, n = 2).
 _SIMILARITY_LEVEL_BYTES = 200
 _TRANSFER_LEVEL_BYTES = 800
 
@@ -196,8 +194,10 @@ def boundedness_estimate(scheme: SchemeSpec, k_range: tuple[int, int]) -> Bounde
     levels.  A ``bound_hint`` on the scheme replaces the coefficient scan
     (it asserts the true supremum over all levels, not just the window)."""
     k_lo, k_hi = _clamp_range(scheme, *k_range)
+    # every level of a stationary scheme has the same mask
+    last = k_lo if scheme.kind == "stationary" else k_hi
     coeff = op = 0.0
-    for k in range(k_lo, k_hi + 1):
+    for k in range(k_lo, last + 1):
         m = scheme.mask_at(k)
         coeff, op = max(coeff, coeff_norm(m)), max(op, sup_norm(m))
     if scheme.bound_hint is not None:
@@ -279,9 +279,10 @@ def similarity_report(
     TOL and not increase; 'no' requires the differences to stay above TOL
     with no decay trend; anything else is inconclusive, because a finite
     window cannot prove a limit.  Catalog schemes whose perturbation decay
-    is known in closed form short-circuit to analytic verdicts.
+    is known in closed form short-circuit to analytic verdicts.  The range
+    is clamped to both schemes' domains, as ``boundedness_estimate`` does.
     """
-    k_lo, k_hi = k_range
+    k_lo, k_hi = _clamp_range(b, *_clamp_range(a, *k_range))
     if k_hi - k_lo + 1 < 8:
         raise InvalidParameter("similarity window must cover at least 8 levels")
     check_budget(_SIMILARITY_LEVEL_BYTES * (k_hi - k_lo + 1),
@@ -350,14 +351,15 @@ def _transfer(
     k_range: tuple[int, int],
     mu: float | None,
 ) -> tuple[ContractionWitness, dict]:
+    if comparator.kind != "stationary":
+        raise InvalidParameter("comparator must be a stationary scheme")
     mu_star, n = witness_star.mu, witness_star.n
     if not mu_star < 1.0:
         raise InvalidParameter("comparator witness does not contract (mu* >= 1)")
     k_lo, k_hi = k_range
     k_lo = max(k_lo, target.k0, comparator.k0)
-    for scheme in (target, comparator):
-        if scheme.max_level is not None:
-            k_hi = min(k_hi, scheme.max_level - (n - 1))
+    if target.max_level is not None:
+        k_hi = min(k_hi, target.max_level - (n - 1))
     if k_hi < k_lo:
         raise InvalidParameter("transfer window is empty after clamping to domains")
 
@@ -384,20 +386,11 @@ def _transfer(
             f"'{sim.similar}', not 'yes'"
         )
 
-    # Products are compared start level against start level; a stationary
-    # comparator has one product for all of them.
-    stationary_comp = comparator.kind == "stationary"
-    if stationary_comp:
-        q = comparator.difference_mask_at(comparator.k0)
-        comp_runs = itertools.repeat(next(runs([q] * n, n)))
-    else:
-        comp_runs = runs(
-            [comparator.difference_mask_at(k) for k in range(k_lo, k_hi + n)], n
-        )
+    c = next(runs([comparator.difference_mask_at(comparator.k0)] * n, n))
     arity = 2 ** n
     diffs = []
     tnorms = []
-    for t, c in zip(runs(target_q, n), comp_runs):
+    for t in runs(target_q, n):
         diffs.append(class_norm(stencil_difference(t, c), arity))
         tnorms.append(class_norm(t, arity))
 
@@ -418,7 +411,7 @@ def _transfer(
         )
     witness = ContractionWitness(
         K=K, n=n, mu=mu, window=len(checked),
-        windowed=not (stationary_target and stationary_comp),
+        windowed=not stationary_target,
     )
     meta = {
         "K_tilde": k_tilde,
@@ -438,8 +431,8 @@ def transfer_condition_a(
     k_range: tuple[int, int],
     mu: float | None = None,
 ) -> ContractionWitness:
-    """Carry a comparator's contraction over to an asymptotically similar
-    scheme.
+    """Carry a stationary comparator's contraction over to an asymptotically
+    similar scheme; a level-dependent comparator raises InvalidParameter.
 
     Picks mu halfway between the comparator's mu* and 1 (overridable), sets
     epsilon to half the gap, and locates the first scanned level from which

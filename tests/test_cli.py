@@ -7,13 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import subdiv
-from subdiv import cli
+from subdiv import cli, schemes
 from subdiv.cli import main
 
 
@@ -85,6 +86,23 @@ def test_compare_deterministic(tmp_path):
                     "--out", str(prefix)]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_analyze_stationary_long_range_is_quick(monkeypatch, capsys):
+    """A stationary scheme has one mask, so a long --k-range costs one level."""
+    reads = []
+    mask_at = schemes.SchemeSpec.mask_at
+
+    def counted(self, k):
+        reads.append(k)
+        assert len(reads) <= 100, "read level after level of a stationary scheme"
+        return mask_at(self, k)
+
+    monkeypatch.setattr(schemes.SchemeSpec, "mask_at", counted)
+    start = time.perf_counter()
+    assert run(["analyze", "--scheme", "chaikin", "--k-range", f"1:{10**9}"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "K=0 n=1 mu=0.5" in capsys.readouterr().out
 
 
 def test_certify_derham_ok(tmp_path, capsys):
@@ -188,6 +206,29 @@ def test_refine_certificate_target(payload, tmp_path, capsys):
     else:
         assert code == 0
         assert "certified bounds hold" in captured.out
+
+
+@pytest.mark.parametrize("level, code", [(1, 0), (5, 3)])
+def test_refine_certificate_start_level(level, code, tmp_path, capsys):
+    """Certified bounds hold for runs that start at the scheme's k0 only;
+    a later start is refused (exit 3) instead of being checked."""
+    scheme = "derham:gamma=2,alpha=1.5"
+    cert_path = tmp_path / "c.json"
+    assert run(["certify", "--scheme", scheme, "--comparator", "chaikin",
+                "--out", str(cert_path)]) == 0
+    data = tmp_path / "f.json"
+    data.write_text(json.dumps({"start": -8, "values": [0] * 8 + [1] + [0] * 8,
+                                "level": level}))
+    capsys.readouterr()
+    assert run(["refine", "--scheme", scheme, "--levels", "16", "--initial", str(data),
+                "--certificate", str(cert_path)]) == code
+    out = capsys.readouterr().out
+    if code:
+        reason = one_record(out)["reason"]
+        assert reason["type"] == "InvalidParameter"
+        assert "level 1, not at level 5" in reason["message"]
+    else:
+        assert "certified bounds hold: True" in out
 
 
 def test_refine_custom_initial(tmp_path, capsys):
@@ -455,6 +496,25 @@ BAD_VALUES = (None, True, -1, 0, 1.5, 1e308, -1e308, float("nan"), float("inf"),
               "", "x", [], {}, [0, "x"], {"x": 1})
 
 
+@pytest.mark.parametrize("scheme", [VALID_SCHEMES[1], VALID_SCHEMES[3]],
+                         ids=["table-12", "derham-eps-table"])
+def test_compare_default_range_clamped(scheme, tmp_path, capsys):
+    """compare clamps its default range to both schemes' domains, as
+    analyze and certify do; a range outside a domain still exits 3."""
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(scheme))
+    comparator = "chaikin" if scheme["kind"] == "table" else "derham_stationary:gamma=2"
+    out = tmp_path / "cmp"
+    assert run(["compare", "--scheme", str(path), "--comparator", comparator,
+                "--out", str(out)]) == 0
+    lines = (tmp_path / "cmp.csv").read_text().splitlines()
+    ks = [int(line.split(",")[0]) for line in lines[1:]]
+    assert ks == list(range(scheme["k0"], scheme["k0"] + 12))
+    assert run(["compare", "--scheme", str(path), "--comparator", comparator,
+                "--k-range", "13:64"]) == 3
+    assert "empty on this scheme's domain" in capsys.readouterr().err
+
+
 def json_paths(obj, path=()):
     """Every key path in a JSON value, the root's empty path included."""
     yield path
@@ -573,10 +633,28 @@ def one_record(text: str) -> dict:
                  id="figure1-gamma"),
     pytest.param(["figure", "2", "--halfwidth", "0"], 3, "ok", None, "InvalidParameter",
                  id="figure2-halfwidth"),
+    pytest.param(["certify", "--scheme", "chaikin", "--comparator", "box.json"],
+                 4, "certified", None, "ContractionNotFound", id="certify-box-exit4"),
+    # an --out in a directory that does not exist: the record goes to stdout
+    pytest.param(["certify", "--scheme", "chaikin", "--comparator", "chaikin",
+                  "--out", "missing/cert.json"],
+                 3, "certified", None, "FileNotFoundError", id="certify-unwritable"),
+    pytest.param(["certify", "--scheme", "perturbed_chaikin", "--comparator", "chaikin",
+                  "--out", "missing/cert.json"],
+                 3, "certified", None, "NotConstantReproducing", id="certify-exit3-unwritable"),
+    pytest.param(["compare", "--scheme", "chaikin", "--comparator", "chaikin",
+                  "--out", "missing/cmp"],
+                 3, "ok", None, "FileNotFoundError", id="compare-unwritable"),
+    pytest.param(["compare", "--scheme", "chaikin", "--comparator", "chaikin",
+                  "--k-range", "1:4", "--out", "missing/cmp"],
+                 3, "ok", None, "InvalidParameter", id="compare-exit3-unwritable"),
+    pytest.param(["refine", "--scheme", "chaikin", "--levels", "8", "--out", "missing/decay.csv"],
+                 3, "ok", None, "FileNotFoundError", id="refine-unwritable"),
 ])
 def test_failure_record(argv, code, verdict, path, kind, tmp_path, monkeypatch, capsys):
     """Every exit 3 or 4 writes one failure record to the command's record
-    path (its JSON --out, or stdout) and one stderr line naming the type."""
+    path (its JSON --out, or stdout when there is none or it cannot be
+    written) and one stderr line naming the type."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "box.json").write_text(json.dumps(BOX_SCHEME))
     (tmp_path / "one.json").write_text(json.dumps({"start": 0, "values": [1.0], "level": 0}))
@@ -593,7 +671,10 @@ def test_failure_record(argv, code, verdict, path, kind, tmp_path, monkeypatch, 
     assert captured.err.splitlines() == [
         f"{prefix}: {kind}: {record['reason']['message']}",
         *(["hint: enlarge --halfwidth"] if kind == "EmptyOutput" else []),
+        # every product of the box rule's difference rule has norm 1
+        *(["closest miss: mu = 1.0 at n = 1, K = 0"] if kind == "ContractionNotFound" else []),
     ]
+    assert not (tmp_path / "missing").exists()
     if argv[0] == "analyze":
         assert record["contraction"] is None and "scheme" in record
         assert ("scan" in record) == (code == 4)

@@ -299,6 +299,20 @@ def test_empty_output_on_narrow_window():
         refine_once(st, catalog.chaikin())
 
 
+def test_certified_runs_start_at_k0():
+    """A certificate bounds products from the scheme's k0 on, so a
+    certified run that starts at a later level is refused."""
+    t = catalog.derham_nonstationary(2.0, alpha=1.5)
+    cert = certify_theorem4(t, catalog.chaikin())
+    late = impulse(8, level=5)
+    with pytest.raises(InvalidParameter, match="starts at the scheme's level 1, not at level 5"):
+        decay_report(t, late, 16, certificate=cert)
+    with pytest.raises(InvalidParameter, match="starts at the scheme's level 1"):
+        limit_sample(t, late, 12, certificate=cert)
+    assert decay_report(t, late, 16).bounds_hold is None
+    assert limit_sample(t, late, 12).error_bound is None
+
+
 def test_certified_bound_dominance_nonstationary():
     t = catalog.derham_nonstationary(2.0, alpha=1.5)
     cert = certify_theorem4(t, catalog.chaikin())

@@ -71,6 +71,36 @@ def test_boundedness_examples():
     assert b.coeff_sup == 0.0 and b.operator_sup == 0.0
 
 
+def test_boundedness_stationary_reads_one_level(monkeypatch):
+    """Every level of a stationary scheme is the same mask, so a long range
+    reads only its first level and reports the range as given."""
+    c = catalog.chaikin()
+    reads = []
+    mask_at = type(c).mask_at
+
+    def counted(self, k):
+        reads.append(k)
+        assert len(reads) <= 16, "read level after level of a stationary scheme"
+        return mask_at(self, k)
+
+    monkeypatch.setattr(type(c), "mask_at", counted)
+    long = boundedness_estimate(c, (1, 10**9))
+    assert reads == [1]
+    short = boundedness_estimate(c, (1, 16))
+    assert long.to_dict() == {**short.to_dict(), "k_hi": 10**9}
+
+
+def test_similarity_clamps_to_both_domains():
+    """The range is clamped like boundedness_estimate's, on both schemes."""
+    table = catalog.derham_nonstationary(2.0, eps=[1.5 / k for k in range(1, 13)], k0=1)
+    c = catalog.derham_stationary(2.0)
+    rep = similarity_report(table, c, (0, 64))
+    assert rep.ks == tuple(range(1, 13))
+    assert rep.diffs == similarity_report(c, table, (1, 12)).diffs
+    with pytest.raises(InvalidParameter, match="empty on this scheme's domain"):
+        similarity_report(c, table, (13, 64))
+
+
 def test_similarity_derham_pair():
     gamma, alpha = 2.0, 1.5
     t = catalog.derham_nonstationary(gamma, alpha=alpha)
@@ -141,13 +171,17 @@ def test_similarity_shared_base_pair():
 
 
 def test_transfer_nonstationary_comparator():
+    """A transfer, like a certificate, takes only a stationary comparator;
+    the target's own windowed search is the route for a level-dependent
+    one."""
     comp = catalog.derham_nonstationary(2.0, alpha=0.5)
     target = catalog.derham_nonstationary(2.0, alpha=1.5)
     wstar = condition_a_search(comp)
     assert wstar.windowed
-    w = transfer_condition_a(target, comp, wstar, (1, 64))
-    assert w.mu == pytest.approx((1.0 + wstar.mu) / 2.0, abs=1e-15)
-    assert w.windowed and w.K <= 64
+    with pytest.raises(InvalidParameter, match="comparator must be a stationary scheme"):
+        transfer_condition_a(target, comp, wstar, (1, 64))
+    own = condition_a_search(target)
+    assert own.windowed and (own.K, own.n) == (1, 1)
 
 
 def test_similarity_window_too_short():
@@ -396,9 +430,7 @@ def test_c1_prefix_compositions_linear_in_K(monkeypatch):
 def certification_record() -> list:
     """Certificates at k_range (1, 64) and (1, 256), with the contraction
     scans of both schemes, of corner-cutting pairs (n = 1, K from 1 to 43)
-    and 4-point tension pairs (N = 3, n = 2); then transfers from
-    level-dependent comparators, n = 1 and n = 2, one of which runs out of
-    levels at (1, 64)."""
+    and 4-point tension pairs (N = 3, n = 2)."""
     pairs = [
         (catalog.derham_nonstationary(g, alpha=a), catalog.derham_stationary(g))
         for g, a in ((1.05, 19.5), (1.3, 4.0), (2.0, 1.5), (3.7, -0.3))
@@ -412,24 +444,58 @@ def certification_record() -> list:
             record.append(certify_theorem4(target, comparator, k_range=k_range).to_dict())
         record.append(operators.contraction_scan(target))
         record.append(operators.contraction_scan(comparator))
-    transfers = [
-        (catalog.derham_nonstationary(2.0, alpha=a), catalog.derham_nonstationary(2.0, alpha=0.5))
-        for a in (1.5, -0.4)
-    ] + [(tension_scheme(0.26, b), tension_scheme(0.26, c)) for b, c in ((0.25, 0.05), (0.1, 0.2))]
-    for target, comparator in transfers:
-        witness_star = condition_a_search(comparator)
-        for k_range in ((1, 64), (1, 256)):
-            try:
-                witness, meta = _transfer(target, comparator, witness_star, k_range, None)
-                record.append([witness_star.to_dict(), witness.to_dict(), meta])
-            except TailNotReached as exc:
-                record.append(str(exc))
     return record
 
 
 def test_certification_golden_digest():
-    """The certificates, scans and transfers keep their earlier bits."""
+    """The certificates and scans keep their earlier bits."""
     text = json.dumps(certification_record(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4ef39100423f908768e124033c600363d83b3077d07ad064cc87471a48fd30ba"
+        "b44235d1eadf6e1fb42286c6b6e44ec01487c88878ec0e9afdc0bb9a668a0b3c"
     )
+
+
+@pytest.mark.parametrize("target, comparator", [
+    pytest.param(catalog.derham_nonstationary(2.0, alpha=a),
+                 catalog.derham_nonstationary(2.0, alpha=0.5), id=f"derham-{a}")
+    for a in (1.5, -0.4)
+] + [
+    pytest.param(tension_scheme(0.26, b), tension_scheme(0.26, c), id=f"tension-{b}-{c}")
+    for b, c in ((0.25, 0.05), (0.1, 0.2))
+])
+@pytest.mark.parametrize("k_range", [(1, 64), (1, 256)])
+def test_transfer_refuses_level_dependent_comparator(target, comparator, k_range):
+    """The level-dependent pairs of the earlier golden record, n = 1 and
+    n = 2, are refused before any level is read."""
+    witness_star = condition_a_search(comparator)
+    with pytest.raises(InvalidParameter, match="comparator must be a stationary scheme"):
+        _transfer(target, comparator, witness_star, k_range, None)
+
+
+def test_transfer_tail_not_reached_n2_pinned():
+    """An n = 2 transfer against a stationary comparator runs out of levels
+    at (1, 64) and settles at (1, 256), with its earlier bits."""
+    target = tension_scheme(0.26, 3.0)
+    comparator = stationary_scheme(tension_mask(0.26), N=3)
+    witness_star = condition_a_search(comparator)
+    assert (witness_star.n, witness_star.windowed) == (2, False)
+    with pytest.raises(TailNotReached) as exc:
+        _transfer(target, comparator, witness_star, (1, 64), None)
+    assert str(exc.value) == (
+        "product-norm differences never settled below epsilon = 0.054900000000000004 "
+        "within levels [1, 64] (last suffix max 0.15227884615384626)"
+    )
+    witness, meta = _transfer(target, comparator, witness_star, (1, 256), None)
+    assert witness.to_dict() == {"K": 172, "n": 2, "mu": 0.8902, "window": 85, "windowed": True}
+    assert meta == {"K_tilde": 172, "epsilon": 0.054900000000000004, "k_lo": 1, "k_hi": 256,
+                    "max_product_norm_checked": 0.8352259174620245, "similar_analytic": True}
+
+
+def test_transfer_refuses_window_emptied_by_tail():
+    """A one-level table leaves no start level for an n = 2 product."""
+    comparator = stationary_scheme(tension_mask(0.26), N=3)
+    witness_star = condition_a_search(comparator)
+    assert witness_star.n == 2
+    target = table_scheme([tension_mask(0.26)], k0=1, N=3)
+    with pytest.raises(InvalidParameter, match="transfer window is empty"):
+        _transfer(target, comparator, witness_star, (1, 64), None)

@@ -115,12 +115,10 @@ def _load_scheme(text: str):
 
 def cmd_analyze(args) -> int:
     scheme = _load_scheme(args.scheme)
-    k_lo, k_hi = args.k_range or (scheme.k0, scheme.k0 + 16)
-    if scheme.max_level is not None:
-        k_hi = min(k_hi, scheme.max_level)
-    levels = range(k_lo, k_hi + 1) if scheme.kind != "stationary" else [scheme.k0]
     # a failure record keeps the report built so far
     report = args.report = {"scheme": scheme.to_dict(), "levels": {}, "contraction": None}
+    k_lo, k_hi = scheme.clamp(*(args.k_range or (scheme.k0, scheme.k0 + 16)))
+    levels = range(k_lo, k_hi + 1) if scheme.kind != "stationary" else [scheme.k0]
     check_budget(_REPORT_LEVEL_BYTES * len(levels),
                  f"a report on levels {k_lo} to {k_hi}")
     all_ok = True

@@ -309,11 +309,9 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
             yield n, k0, class_norm(p, 2**n), 1
         return
 
-    last = k0 + K_max + window + n_max - 1
-    if scheme.max_level is not None:
-        last = min(last, scheme.max_level)
+    _, last = scheme.clamp(k0, k0 + K_max + window + n_max - 1)
     check_budget(
-        _LEVEL_BYTES * (scheme.N + n_max) * max(last - k0 + 1, 0),
+        _LEVEL_BYTES * (scheme.N + n_max) * (last - k0 + 1),
         f"difference rules for levels {k0} to {last}",
     )
     qs = [scheme.difference_mask_at(k) for k in range(k0, last + 1)]

@@ -35,7 +35,8 @@ _EXACT_PRODUCT_CAP = 16
 # lists: tracemalloc measured 167-177 bytes a level over 20000 levels.  A
 # transfer also holds each level's difference rule and two product norms:
 # 424 bytes a level for corner cutting (N = 2, n = 1) and 502 for a
-# 4-point rule (N = 3, n = 2).
+# 4-point rule (N = 3, n = 2).  It counts from the target's k0, since the
+# C1 prefix reads the levels before the window.
 _SIMILARITY_LEVEL_BYTES = 200
 _TRANSFER_LEVEL_BYTES = 800
 
@@ -88,6 +89,18 @@ class SchemeSpec:
                 f"mask at level {k} has support {sup}, outside [-{self.N}, {self.N}]"
             )
         return m
+
+    def clamp(self, k_lo: int, k_hi: int) -> tuple[int, int]:
+        """The part of the level range [k_lo, k_hi] that this scheme
+        defines.  Raises InvalidParameter when no level of it is left."""
+        k_lo = max(k_lo, self.k0)
+        if self.max_level is not None:
+            k_hi = min(k_hi, self.max_level)
+        if k_hi < k_lo:
+            raise InvalidParameter(
+                f"level range [{k_lo}, {k_hi}] is empty on this scheme's domain"
+            )
+        return k_lo, k_hi
 
     def difference_mask_at(self, k: int) -> Mask:
         """Difference rule of the level-k mask.  A mask that does not
@@ -166,17 +179,6 @@ def formula_scheme(
     )
 
 
-def _clamp_range(scheme: SchemeSpec, k_lo: int, k_hi: int) -> tuple[int, int]:
-    k_lo = max(k_lo, scheme.k0)
-    if scheme.max_level is not None:
-        k_hi = min(k_hi, scheme.max_level)
-    if k_hi < k_lo:
-        raise InvalidParameter(
-            f"level range [{k_lo}, {k_hi}] is empty on this scheme's domain"
-        )
-    return k_lo, k_hi
-
-
 @dataclass(frozen=True)
 class BoundednessReport:
     coeff_sup: float
@@ -193,7 +195,7 @@ def boundedness_estimate(scheme: SchemeSpec, k_range: tuple[int, int]) -> Bounde
     """Largest coefficient sup-norm and operator sup-norm over the scanned
     levels.  A ``bound_hint`` on the scheme replaces the coefficient scan
     (it asserts the true supremum over all levels, not just the window)."""
-    k_lo, k_hi = _clamp_range(scheme, *k_range)
+    k_lo, k_hi = scheme.clamp(*k_range)
     # every level of a stationary scheme has the same mask
     last = k_lo if scheme.kind == "stationary" else k_hi
     coeff = op = 0.0
@@ -282,7 +284,7 @@ def similarity_report(
     is known in closed form short-circuit to analytic verdicts.  The range
     is clamped to both schemes' domains, as ``boundedness_estimate`` does.
     """
-    k_lo, k_hi = _clamp_range(b, *_clamp_range(a, *k_range))
+    k_lo, k_hi = b.clamp(*a.clamp(*k_range))
     if k_hi - k_lo + 1 < 8:
         raise InvalidParameter("similarity window must cover at least 8 levels")
     check_budget(_SIMILARITY_LEVEL_BYTES * (k_hi - k_lo + 1),
@@ -350,16 +352,16 @@ def _transfer(
     witness_star: ContractionWitness,
     k_range: tuple[int, int],
     mu: float | None,
-) -> tuple[ContractionWitness, dict]:
+) -> tuple[ContractionWitness, dict, list[Mask]]:
+    """The witness, its scan metadata and the target's difference rules."""
     if comparator.kind != "stationary":
         raise InvalidParameter("comparator must be a stationary scheme")
     mu_star, n = witness_star.mu, witness_star.n
     if not mu_star < 1.0:
         raise InvalidParameter("comparator witness does not contract (mu* >= 1)")
-    k_lo, k_hi = k_range
-    k_lo = max(k_lo, target.k0, comparator.k0)
-    if target.max_level is not None:
-        k_hi = min(k_hi, target.max_level - (n - 1))
+    k_lo, k_hi = comparator.clamp(*target.clamp(*k_range))
+    # a product of n rules from level k_hi reads n - 1 levels past it
+    k_hi = target.clamp(k_lo, k_hi + n - 1)[1] - (n - 1)
     if k_hi < k_lo:
         raise InvalidParameter("transfer window is empty after clamping to domains")
 
@@ -374,11 +376,11 @@ def _transfer(
         )
     eps = (mu - mu_star) / 2.0
 
-    check_budget(_TRANSFER_LEVEL_BYTES * (k_hi - k_lo + n),
-                 f"a transfer over levels {k_lo} to {k_hi + n - 1}")
-    # Constant reproduction on every scanned target level, checked before
+    check_budget(_TRANSFER_LEVEL_BYTES * (k_hi + n - target.k0),
+                 f"a transfer over levels {target.k0} to {k_hi + n - 1}")
+    # Constant reproduction on every target level from k0, checked before
     # similarity so the failure reported first is the binding one.
-    target_q = [target.difference_mask_at(k) for k in range(k_lo, k_hi + n)]
+    qs = [target.difference_mask_at(k) for k in range(target.k0, k_hi + n)]
     sim = similarity_report(target, comparator, (k_lo, k_hi))
     if sim.similar != "yes":
         raise SimilarityNotEstablished(
@@ -390,7 +392,7 @@ def _transfer(
     arity = 2 ** n
     diffs = []
     tnorms = []
-    for t in runs(target_q, n):
+    for t in runs(qs[k_lo - target.k0 :], n):
         diffs.append(class_norm(stencil_difference(t, c), arity))
         tnorms.append(class_norm(t, arity))
 
@@ -421,7 +423,7 @@ def _transfer(
         "max_product_norm_checked": max(checked) if checked else None,
         "similar_analytic": sim.analytic,
     }
-    return witness, meta
+    return witness, meta, qs
 
 
 def transfer_condition_a(
@@ -441,14 +443,13 @@ def transfer_condition_a(
     Raises SimilarityNotEstablished or TailNotReached when the window does
     not support the transfer; both are inconclusive outcomes.
     """
-    witness, _ = _transfer(target, comparator, witness_star, k_range, mu)
-    return witness
+    return _transfer(target, comparator, witness_star, k_range, mu)[0]
 
 
-def _c1_prefix(target: SchemeSpec, stop: int) -> tuple[float, bool]:
+def _c1_prefix(qs: Sequence[Mask]) -> tuple[float, bool]:
     """C1's worst prefix norm and whether it is exact: the largest norm, and
-    at least 1, of the products of the target's difference rules on levels
-    k0 .. m - 1 for every m up to ``stop``.
+    at least 1, of the products ``qs[:m]`` for every m, where ``qs`` holds
+    the target's difference rules in level order from its k0.
 
     A product of at most ``_EXACT_PRODUCT_CAP`` rules is expanded exactly.
     A longer one is bounded by submultiplicativity over chunks of that many
@@ -458,7 +459,6 @@ def _c1_prefix(target: SchemeSpec, stop: int) -> tuple[float, bool]:
     ending at level k0 + t, is composed once and shared by every product
     that uses it.
     """
-    qs = [target.difference_mask_at(k) for k in range(target.k0, stop)]
     cap = _EXACT_PRODUCT_CAP
     chunk = [class_norm(p, 2**j) for j, p in enumerate(products(qs[:cap]), 1)]
     chunk += [class_norm(p, 2**cap) for p in runs(qs[1:], cap)]
@@ -592,7 +592,7 @@ def certify_theorem4(
 
     if k_range is None:
         k_range = (target.k0, target.k0 + 63)
-    witness, transfer_meta = _transfer(target, comparator, witness_star, k_range, mu)
+    witness, transfer_meta, qs = _transfer(target, comparator, witness_star, k_range, mu)
     K, mu_used = witness.K, witness.mu
     mu_hat = mu_used ** (1.0 / n)
     if eta is None:
@@ -604,14 +604,30 @@ def certify_theorem4(
 
     # Start-up constant: the worst prefix product of the target's
     # difference rules before level K + n - 1, inflated by mu_hat's
-    # deficit over those levels.
-    best, c1_exact = _c1_prefix(target, K + n - 1)
-    C1 = best / mu_hat ** (K + n - 1)
+    # deficit over those levels.  A deficit too small to divide by, or a
+    # rate that rounds to 1, leaves no finite constant to certify.
+    if mu_hat == 1.0:
+        raise InvalidParameter(
+            f"mu_hat = mu**(1/n) rounds to 1.0 for mu = {mu_used!r}, n = {n}, "
+            "so C = Gamma / (1 - mu_hat) is not finite"
+        )
+    deficit = mu_hat ** (K + n - 1)
+    if deficit == 0.0 or math.isinf(1.0 / deficit):
+        raise InvalidParameter(
+            f"mu_hat**(K + n - 1) = {mu_hat!r}**{K + n - 1} is too small to "
+            "divide by, so C1 is not finite"
+        )
+    best, c1_exact = _c1_prefix(qs[: K + n - 1 - target.k0])
+    C1 = best / deficit
 
     bound = boundedness_estimate(target, (transfer_meta["k_lo"], transfer_meta["k_hi"]))
     C2 = target.N * (bound.coeff_sup + 1.0)
     Gamma = target.N * C1 * C2
     C = Gamma / (1.0 - mu_hat)
+    if not all(map(math.isfinite, (C1, Gamma, C))):
+        raise InvalidParameter(
+            f"certificate constants overflow: C1 = {C1!r}, Gamma = {Gamma!r}, C = {C!r}"
+        )
     holder = abs(math.log2(mu_hat))
 
     meta = dict(transfer_meta)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -51,6 +52,18 @@ def test_analyze_precondition_past_listed_levels(tmp_path, capsys):
     reason = json.loads(out.read_text())["reason"]
     assert reason["type"] == "NotConstantReproducing"
     assert reason["level"] == 18
+
+
+def test_analyze_k_range_clamped(tmp_path, capsys):
+    """analyze clamps --k-range to the scheme's domain, as compare and
+    certify do: level 0 of a scheme that starts at level 1 is dropped."""
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--k-range", "0:16",
+                "--out", str(out)]) == 0
+    assert sorted(map(int, json.loads(out.read_text())["levels"])) == list(range(1, 17))
+    listed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("level ")]
+    assert listed == [f"level {k}" for k in range(1, 17)]
 
 
 def test_analyze_json_report(tmp_path, capsys):
@@ -392,6 +405,10 @@ def test_memory_budget_refusal(argv, tmp_path, monkeypatch, capsys):
     pytest.param(["certify", "--scheme", "derham:gamma=2,alpha=1.5",
                   "--comparator", "derham_stationary:gamma=2", "--k-range", f"1:{10**9}"],
                  id="certify-k-range"),
+    # a short window that starts late: the C1 prefix reads every level from k0
+    pytest.param(["certify", "--scheme", "derham:gamma=2,alpha=1.5",
+                  "--comparator", "derham_stationary:gamma=2", "--k-range", "1400000:1400063"],
+                 id="certify-k-range-late"),
 ])
 def test_n_max_budget_refusal(argv, capsys):
     """An n-fold product stencil holds about len(q) * 2**n coefficients, so
@@ -604,7 +621,8 @@ def one_record(text: str) -> dict:
 
 
 @pytest.mark.parametrize("argv, code, verdict, path, kind", [
-    pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--k-range", "0:16"],
+    # a range that holds no level once clamped to the scheme's domain
+    pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--k-range", "5:2"],
                  3, "ok", None, "InvalidParameter", id="analyze-k-range"),
     pytest.param(["analyze", "--scheme", "chaikin", "--n-max", "60", "--verbose"],
                  3, "ok", None, "InvalidParameter", id="analyze-n-max"),
@@ -680,11 +698,91 @@ def test_failure_record(argv, code, verdict, path, kind, tmp_path, monkeypatch, 
         assert ("scan" in record) == (code == 4)
 
 
+FOUR_POINT_SCHEME = {"kind": "stationary", "N": 3, "mask": {
+    "base": -3, "coeffs": [-0.27, 0.0, 0.77, 1.0, 0.77, 0.0, -0.27]}}
+DERHAM_PAIR = ["--scheme", "derham:gamma=2,alpha=1.5", "--comparator", "derham_stationary:gamma=2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param([*DERHAM_PAIR, "--k-range", "2500:2563"],
+                 "0.75**2500 is too small to divide by", id="derham-2500"),
+    pytest.param([*DERHAM_PAIR, "--k-range", "3000:3063"],
+                 "0.75**3000 is too small to divide by", id="derham-3000"),
+    pytest.param(["--scheme", "chaikin", "--comparator", "chaikin", "--k-range", "2600:2663"],
+                 "0.75**2600 is too small to divide by", id="chaikin-2600"),
+    pytest.param(["--scheme", "four.json", "--comparator", "four.json",
+                  "--mu", "0.9999999999999999"], "rounds to 1.0", id="four-point-mu"),
+])
+def test_certify_refuses_non_finite_constants(argv, message, tmp_path, monkeypatch, capsys):
+    """A window so late that mu_hat**(K + n - 1) cannot be divided by, or a
+    mu whose rate mu**(1/n) rounds to 1, exits 3 with one failure record:
+    no Infinity in the file, no traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "four.json").write_text(json.dumps(FOUR_POINT_SCHEME))
+    assert run(["certify", *argv, "--out", "cert.json"]) == 3
+    text = (tmp_path / "cert.json").read_text()
+    assert "Infinity" not in text
+    record = one_record(text)
+    assert record["certified"] is False and record["reason"]["type"] == "InvalidParameter"
+    assert message in record["reason"]["message"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: InvalidParameter: {record['reason']['message']}"
+    ]
+
+
+def test_certify_late_window_keeps_bits(tmp_path):
+    """A late window whose constants stay finite is certified as before."""
+    assert run(["certify", *DERHAM_PAIR, "--k-range", "300:363",
+                "--out", str(tmp_path / "cert.json")]) == 0
+    assert json.loads((tmp_path / "cert.json").read_text())["certificate"]["C1"] == (
+        3.031244601502944e+37
+    )
+    assert sha256(tmp_path / "cert.json") == (
+        "a435955b11b5c077b94e1ff244d8f38c3b35653639a89893ce4d57e71b7e0368"
+    )
+
+
+# Every option each subcommand takes, by dest.  An added or removed knob
+# fails test_cli_surface until this map is updated on purpose.
+CLI_OPTIONS = {
+    "analyze": {"scheme", "k_range", "out", "n_max", "K_max", "window", "verbose"},
+    "compare": {"scheme", "comparator", "k_range", "out"},
+    "certify": {"scheme", "comparator", "k_range", "out", "n_max", "eta", "mu"},
+    "refine": {"scheme", "out", "levels", "initial", "halfwidth", "certificate"},
+    "figure 1": {"gamma", "levels", "halfwidth", "out"},
+    "figure 2": {"halfwidth", "out"},
+}
+
+
+def parser_options(parser, words=()):
+    """Yield (command words, option dests) for every parser under
+    ``parser`` that takes options of its own or has no subcommands."""
+    own = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if own or not subs:
+        yield " ".join(words), own
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from parser_options(sub, (*words, name))
+
+
+def test_cli_surface():
+    """The CLI takes exactly the 30 options of CLI_OPTIONS."""
+    options = dict(parser_options(cli.build_parser()))
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 30
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under README's ``heading``."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return text.split(heading, 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_lines():
     """The commands of README's CLI block, each with the exit code its
     "# exit N" comment names (0 when it names none)."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("## CLI", "sh")
     for line in block.replace("\\\n", " ").splitlines():
         expected = re.search(r"#\s*exit (\d)", line)
         argv = shlex.split(line, comments=True)
@@ -698,3 +796,9 @@ def test_readme_cli_block(tmp_path, monkeypatch, capsys):
     lines = list(readme_cli_lines())
     assert len(lines) >= 7
     assert [run(argv) for argv, _ in lines] == [code for _, code in lines]
+
+
+def test_readme_library_example(capsys):
+    """README's library example runs as written."""
+    exec(compile(readme_block("## Library example", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 1

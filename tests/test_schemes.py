@@ -18,6 +18,7 @@ from subdiv.schemes import (
     _EXACT_PRODUCT_CAP,
     AnalyticSimilarity,
     ConvergenceCertificate,
+    SchemeSpec,
     _c1_prefix,
     _transfer,
     boundedness_estimate,
@@ -44,10 +45,20 @@ def test_scheme_domain_checks():
     assert wide.N == 7  # inferred from the support hull
 
 
+def test_scheme_clamp():
+    """clamp cuts a level range to the levels the scheme defines."""
+    t = catalog.derham_nonstationary(2.0, eps=[0.5, 0.25, 0.125], k0=1)
+    assert t.clamp(0, 10) == (1, 3)
+    assert t.clamp(2, 2) == (2, 2)
+    assert catalog.chaikin().clamp(-5, 10**9) == (0, 10**9)
+    for k_lo, k_hi in ((4, 10), (3, 2), (-5, 0)):
+        with pytest.raises(InvalidParameter, match="empty on this scheme's domain"):
+            t.clamp(k_lo, k_hi)
+
+
 def test_support_outside_n_rejected():
     bad = stationary_scheme(Mask(-1, (0.5, 1.0, 0.5)), N=1)
     bad.mask_at(0)
-    from subdiv.schemes import SchemeSpec
 
     squeezed = SchemeSpec(kind="stationary", k0=0, N=1,
                           mask_fn=lambda k: Mask(-1, (0.25, 0.75, 0.75, 0.25)))
@@ -366,6 +377,11 @@ def tension_scheme(w: float = 0.27, b: float = 0.2):
     )
 
 
+def difference_rules(target, stop):
+    """The target's difference rules on levels k0 .. stop - 1."""
+    return [target.difference_mask_at(k) for k in range(target.k0, stop)]
+
+
 def recomposed_c1_prefix(target, stop):
     """The C1 prefix as certification computed it before the product was
     held: every step puts the next level in front and recomposes every
@@ -393,7 +409,7 @@ def recomposed_c1_prefix(target, stop):
 def test_c1_prefix_matches_recomposing(target, stop):
     """Holding the product and sharing the chunks gives the recomposing
     loop's numbers exactly, below, at and past the cap and past two chunks."""
-    assert _c1_prefix(target, stop) == recomposed_c1_prefix(target, stop)
+    assert _c1_prefix(difference_rules(target, stop)) == recomposed_c1_prefix(target, stop)
 
 
 @pytest.mark.parametrize("gamma, alpha, K, C1", [
@@ -411,6 +427,9 @@ def test_c1_prefix_compositions_linear_in_K(monkeypatch):
     """Each chunk is composed once: the C1 prefix of the K = 43 item costs
     (cap - 1) kernel compositions per level past the cap, not a number
     growing with K**2 as recomposing every prefix did (825 here)."""
+    target = catalog.derham_nonstationary(1.05, alpha=19.5)
+    K, n = 43, 1  # its certificate's, pinned by test_c1_pinned_bits
+    rules = difference_rules(target, K + n - 1)
     calls = []
     kernel = operators.compose_coeffs
 
@@ -419,12 +438,58 @@ def test_c1_prefix_compositions_linear_in_K(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(operators, "compose_coeffs", counted)
-    target = catalog.derham_nonstationary(1.05, alpha=19.5)
-    K, n = 43, 1  # its certificate's, pinned by test_c1_pinned_bits
-    _c1_prefix(target, K + n - 1)
+    _c1_prefix(rules)
     levels = K + n - 1 - target.k0
     assert len(calls) == (_EXACT_PRODUCT_CAP - 1) * (levels - _EXACT_PRODUCT_CAP + 1)
     assert len(calls) <= (_EXACT_PRODUCT_CAP - 1) * K
+
+
+@pytest.mark.parametrize("target, comparator, k_range", [
+    pytest.param(catalog.derham_nonstationary(2.0, alpha=1.5), catalog.chaikin(), (1, 64),
+                 id="corner"),
+    pytest.param(catalog.derham_nonstationary(2.0, alpha=1.5), catalog.chaikin(), (20, 83),
+                 id="corner-late"),
+    pytest.param(tension_scheme(0.285, 0.22), stationary_scheme(tension_mask(0.285), N=3),
+                 (1, 64), id="tension"),
+])
+def test_certify_reads_each_target_level_once(target, comparator, k_range, monkeypatch):
+    """Certification reads the target's difference rules of levels k0 to
+    k_hi + n - 1 once each, in level order: the transfer reads them, and
+    the C1 prefix takes its levels from the transfer's list."""
+    reads = []
+    read = SchemeSpec.difference_mask_at
+
+    def counted(self, k):
+        if self is target:
+            reads.append(k)
+        return read(self, k)
+
+    monkeypatch.setattr(SchemeSpec, "difference_mask_at", counted)
+    cert = certify_theorem4(target, comparator, k_range=k_range)
+    assert cert.K + cert.n - 1 > target.k0  # the C1 prefix covers some level
+    assert reads == list(range(target.k0, cert.meta["k_hi"] + cert.n))
+
+
+def test_transfer_checks_constants_from_k0():
+    """The transfer checks constant reproduction from the target's k0, not
+    from the window's start, because the C1 prefix rests on those levels."""
+    chaikin = catalog.chaikin()
+    bad = Mask(-1, (0.3, 0.75, 0.75, 0.25))
+    target = table_scheme([bad] + [chaikin.mask_at(0)] * 40, N=2)
+    with pytest.raises(NotConstantReproducing) as exc:
+        transfer_condition_a(target, chaikin, condition_a_search(chaikin), (3, 40))
+    assert exc.value.level == 0
+
+
+@pytest.mark.parametrize("levels", [20, 24])
+def test_certify_refuses_overflowing_constants(levels):
+    """Difference rules of norm about 2**51 before the window make Gamma
+    (20 levels) or C1 itself (24) overflow: refused, not certified."""
+    chaikin = catalog.chaikin()
+    huge = Mask(-1, (0.25, 2.0**50, 0.75, 1 - 2.0**50))
+    target = table_scheme([huge] * levels + [chaikin.mask_at(0)] * 64, N=2)
+    with pytest.raises(InvalidParameter, match="certificate constants overflow"):
+        certify_theorem4(target, chaikin, k_range=(levels, levels + 63))
 
 
 def certification_record() -> list:
@@ -485,10 +550,12 @@ def test_transfer_tail_not_reached_n2_pinned():
         "product-norm differences never settled below epsilon = 0.054900000000000004 "
         "within levels [1, 64] (last suffix max 0.15227884615384626)"
     )
-    witness, meta = _transfer(target, comparator, witness_star, (1, 256), None)
+    witness, meta, rules = _transfer(target, comparator, witness_star, (1, 256), None)
     assert witness.to_dict() == {"K": 172, "n": 2, "mu": 0.8902, "window": 85, "windowed": True}
     assert meta == {"K_tilde": 172, "epsilon": 0.054900000000000004, "k_lo": 1, "k_hi": 256,
                     "max_product_norm_checked": 0.8352259174620245, "similar_analytic": True}
+    # the rules of levels k0 = 1 through k_hi + n - 1 = 257
+    assert rules == difference_rules(target, 258)
 
 
 def test_transfer_refuses_window_emptied_by_tail():

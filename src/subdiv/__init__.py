@@ -4,7 +4,6 @@ certification with explicit error constants."""
 from .errors import (
     ContractionNotFound,
     EmptyOutput,
-    EtaOutOfRange,
     InvalidParameter,
     NotConstantReproducing,
     NotFactorable,

@@ -7,9 +7,10 @@ conflated with "not convergent": the windowed tests are one-sided.
 Identical invocations produce byte-identical output files.
 
 Commands raise ``SubdivError``; ``main`` alone maps it to exit 3 or 4, and
-an output file that cannot be written to exit 3.  It writes the one failure
-record, ``{<verdict>: false, "reason": {...}}``, to the record path each
-subcommand declares, or to stdout when that path cannot be written.
+an output file or a closed stdout that cannot be written to exit 3.  It
+writes the one failure record, ``{<verdict>: false, "reason": {...}}``, to
+the record path each subcommand declares, or to stdout when that path
+cannot be written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -198,8 +200,7 @@ def cmd_certify(args) -> int:
     target = _load_scheme(args.scheme)
     comparator = _load_scheme(args.comparator)
     cert = certify_theorem4(
-        target, comparator, eta=args.eta, k_range=args.k_range, mu=args.mu,
-        n_max=args.n_max,
+        target, comparator, k_range=args.k_range, mu=args.mu, n_max=args.n_max,
     )
     payload = {"certified": True, "certificate": cert.to_dict(),
                "target": target.to_dict(), "comparator": comparator.to_dict()}
@@ -352,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="convergence certificate against a stationary comparator")
     _add_common(p, comparator=True)
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
-    p.add_argument("--eta", type=float, default=None,
-                   help="decay rate quoted in the bound (sets mu = eta**n)")
     p.add_argument("--mu", type=float, default=None,
                    help="override the transferred contraction bound")
     p.set_defaults(func=cmd_certify, verdict="certified", record_path=lambda a: a.out)
@@ -389,12 +388,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.report = {}
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_LOAD
     except (SubdivError, OSError) as exc:
         # commands read their inputs under their own guards, so an OSError
-        # here comes from writing an output file
+        # here comes from writing an output file or stdout; a stdout whose
+        # reader is gone is pointed at the null device
+        if isinstance(exc, BrokenPipeError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         inconclusive = isinstance(exc, (TailNotReached, ContractionNotFound))
         reason = {"type": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "level", None) is not None:

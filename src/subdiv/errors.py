@@ -52,10 +52,6 @@ class ContractionNotFound(SubdivError):
         self.scan = scan or []
 
 
-class EtaOutOfRange(SubdivError):
-    """Requested decay rate is incompatible with the certified contraction."""
-
-
 class OutOfDomain(SubdivError):
     """Evaluation point lies outside the valid span of a piecewise-linear
     interpolant."""

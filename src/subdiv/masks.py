@@ -39,7 +39,7 @@ TRIM_TOL = 1e-14
 _RECONSTRUCT_TOL = 1e-10
 # Rounding slack between two routes to the same number of size about 1, a
 # few ulps of 1: a similarity tail may step up by this much and still be
-# nonincreasing, and eta may undercut mu_hat by this much.
+# nonincreasing.
 ROUND_TOL = 1e-15
 # A similarity tail trends down only when its last value sits below its
 # first by this relative margin, so rounding on a flat tail reads as flat.

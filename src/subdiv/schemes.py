@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
-    EtaOutOfRange,
     InvalidParameter,
     NotConstantReproducing,
     SimilarityNotEstablished,
@@ -471,8 +471,9 @@ class ConvergenceCertificate:
     """Explicit constants proving geometric convergence of a refinement
     scheme, assembled from a contraction witness.
 
-    mu_hat = mu**(1/n) is the certified per-level decay rate; C bounds the
-    sup-distance to the limit by C * mu_hat**k * ||initial differences||.
+    mu_hat = mu**(1/n) is the certified per-level decay rate, and ``eta``,
+    the rate quoted in the bound, equals it; C bounds the sup-distance to
+    the limit by C * mu_hat**k * ||initial differences||.
     ``windowed`` marks certificates whose contraction rests on a finite
     scanned window rather than an exact stationary product.
     """
@@ -544,10 +545,23 @@ def _number(obj: dict, key: str) -> float:
     return float(value)
 
 
+def _c1(best: float, mu_hat: float, levels: int) -> float:
+    """C1 = ``best / mu_hat**levels``, the least float not below the exact
+    quotient (to nearest, 1 / mu_hat can round below its bound), or inf
+    when ``best`` is not finite or the quotient is past the float range."""
+    if not math.isfinite(best):
+        return math.inf
+    exact = Fraction(best) / Fraction(mu_hat) ** levels
+    try:
+        c1 = float(exact)
+    except OverflowError:
+        return math.inf
+    return math.nextafter(c1, math.inf) if c1 < exact else c1
+
+
 def certify_theorem4(
     target: SchemeSpec,
     comparator: SchemeSpec,
-    eta: float | None = None,
     k_range: tuple[int, int] | None = None,
     mu: float | None = None,
     n_max: int = 8,
@@ -558,7 +572,8 @@ def certify_theorem4(
     Pipeline: find the comparator's exact contraction (mu*, n); check the
     target reproduces constants on the scanned levels and is asymptotically
     similar to the comparator; transfer the contraction (mu defaults to the
-    midpoint of (mu*, 1)); then assemble the explicit constants
+    midpoint of (mu*, 1) and must lie in that interval, closed at mu* for a
+    stationary target); then assemble the explicit constants
 
         C1    -- start-up factor covering levels before the contraction
                  kicks in,
@@ -567,11 +582,8 @@ def certify_theorem4(
         Gamma -- N * C1 * C2, the per-level gap constant,
         C     -- Gamma / (1 - mu_hat), the geometric-series total,
 
-    plus the Holder exponent |log2 mu_hat| of the limit.
-
-    ``eta`` is the rate quoted in the final bound.  When given without
-    ``mu`` it sets mu = eta**n so the emitted (C, eta) pair is exactly the
-    certified one; when both are given, eta must not undercut mu**(1/n).
+    plus the Holder exponent |log2 mu_hat| of the limit.  The certificate's
+    ``eta``, the rate quoted in the final bound, is mu_hat = mu**(1/n).
     """
     if comparator.kind != "stationary":
         raise InvalidParameter("comparator must be a stationary scheme")
@@ -579,28 +591,11 @@ def certify_theorem4(
     mu_star, n = witness_star.mu, witness_star.n
     stationary_target = target.kind == "stationary"
 
-    eta_floor = mu_star ** (1.0 / n)
-    if eta is not None:
-        lo_ok = eta >= eta_floor if stationary_target else eta > eta_floor
-        if not (lo_ok and eta < 1.0):
-            raise EtaOutOfRange(
-                f"eta = {eta!r} outside the admissible range "
-                f"({eta_floor!r}, 1)"
-            )
-        if mu is None:
-            mu = eta ** n
-
     if k_range is None:
         k_range = (target.k0, target.k0 + 63)
     witness, transfer_meta, qs = _transfer(target, comparator, witness_star, k_range, mu)
     K, mu_used = witness.K, witness.mu
     mu_hat = mu_used ** (1.0 / n)
-    if eta is None:
-        eta = mu_hat
-    elif eta < mu_hat - ROUND_TOL:
-        raise EtaOutOfRange(
-            f"eta = {eta!r} undercuts the certified rate mu**(1/n) = {mu_hat!r}"
-        )
 
     # Start-up constant: the worst prefix product of the target's
     # difference rules before level K + n - 1, inflated by mu_hat's
@@ -618,7 +613,7 @@ def certify_theorem4(
             "divide by, so C1 is not finite"
         )
     best, c1_exact = _c1_prefix(qs[: K + n - 1 - target.k0])
-    C1 = best / deficit
+    C1 = _c1(best, mu_hat, K + n - 1)
 
     bound = boundedness_estimate(target, (transfer_meta["k_lo"], transfer_meta["k_hi"]))
     C2 = target.N * (bound.coeff_sup + 1.0)
@@ -647,7 +642,7 @@ def certify_theorem4(
         }
     )
     return ConvergenceCertificate(
-        mu_star=mu_star, n=n, K=K, mu=mu_used, mu_hat=mu_hat, eta=eta,
+        mu_star=mu_star, n=n, K=K, mu=mu_used, mu_hat=mu_hat, eta=mu_hat,
         C1=C1, C2=C2, Gamma=Gamma, C=C, holder_exponent=holder,
         provenance="theorem2" if stationary_target else "theorem4",
         windowed=witness.windowed, meta=meta,

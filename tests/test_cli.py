@@ -64,6 +64,10 @@ def test_analyze_k_range_clamped(tmp_path, capsys):
     listed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("level ")]
     assert listed == [f"level {k}" for k in range(1, 17)]
+    # a negative start is written with "=", else argparse takes it for an option
+    assert run(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--k-range=-3:4",
+                "--out", str(out)]) == 0
+    assert sorted(map(int, json.loads(out.read_text())["levels"])) == list(range(1, 5))
 
 
 def test_analyze_json_report(tmp_path, capsys):
@@ -304,7 +308,7 @@ def test_figure2(tmp_path, capsys):
     pytest.param(
         ["certify", "--scheme", "derham:gamma=1.5,alpha=2.5",
          "--comparator", "derham_stationary:gamma=1.5", "--out", "cert.json"], 0,
-        {"cert.json": "39eb0d59827d4e1e5ec52f68a4bb4b22537c8b7c0ee5210650347974f81b7814"},
+        {"cert.json": "00b8a6f021a6a0aebc572905caab8fd8dd40cb570191c3826eaadab766ce41c6"},
         id="certify"),
     pytest.param(
         ["certify", "--scheme", "perturbed_chaikin", "--comparator", "chaikin",
@@ -327,6 +331,8 @@ def test_json_golden_digests(argv, code, digests, tmp_path, monkeypatch, capsys)
     pytest.param(["analyze", "--scheme", "chaikin", "--format", "json"], id="analyze-format"),
     pytest.param(["certify", "--scheme", "chaikin", "--comparator", "chaikin", "--window", "64"],
                  id="certify-window"),
+    pytest.param(["certify", "--scheme", "chaikin", "--comparator", "chaikin", "--eta", "0.9"],
+                 id="certify-eta"),
     pytest.param(["figure", "2", "--gamma", "5"], id="figure2-gamma"),
     pytest.param(["figure", "2", "--levels", "3"], id="figure2-levels"),
 ])
@@ -497,6 +503,26 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "mu=0.5" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--verbose"],
+                 id="analyze-verbose"),
+    pytest.param(["certify", "--scheme", "chaikin", "--comparator", "chaikin"], id="certify"),
+    pytest.param(["analyze", "--scheme", "chaikin"], id="analyze"),
+])
+def test_closed_stdout_exit3(argv):
+    """A stdout whose reader has gone exits 3 with one stderr line, not a
+    traceback from writing the failure record to the same closed pipe."""
+    src = str(Path(subdiv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-m", "subdiv.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 3
+    assert err.splitlines() == ["error: BrokenPipeError: [Errno 32] Broken pipe"]
 
 
 CHAIKIN_JSON = {"base": -1, "coeffs": [0.25, 0.75, 0.75, 0.25]}
@@ -747,7 +773,7 @@ def test_certify_late_window_keeps_bits(tmp_path):
 CLI_OPTIONS = {
     "analyze": {"scheme", "k_range", "out", "n_max", "K_max", "window", "verbose"},
     "compare": {"scheme", "comparator", "k_range", "out"},
-    "certify": {"scheme", "comparator", "k_range", "out", "n_max", "eta", "mu"},
+    "certify": {"scheme", "comparator", "k_range", "out", "n_max", "mu"},
     "refine": {"scheme", "out", "levels", "initial", "halfwidth", "certificate"},
     "figure 1": {"gamma", "levels", "halfwidth", "out"},
     "figure 2": {"halfwidth", "out"},
@@ -767,10 +793,10 @@ def parser_options(parser, words=()):
 
 
 def test_cli_surface():
-    """The CLI takes exactly the 30 options of CLI_OPTIONS."""
+    """The CLI takes exactly the 29 options of CLI_OPTIONS."""
     options = dict(parser_options(cli.build_parser()))
     assert options == CLI_OPTIONS
-    assert sum(map(len, options.values())) == 30
+    assert sum(map(len, options.values())) == 29
 
 
 def readme_block(heading: str, lang: str) -> str:
@@ -796,6 +822,23 @@ def test_readme_cli_block(tmp_path, monkeypatch, capsys):
     lines = list(readme_cli_lines())
     assert len(lines) >= 7
     assert [run(argv) for argv, _ in lines] == [code for _, code in lines]
+
+
+def option_strings(parser):
+    """Every option string of ``parser`` and its subcommands."""
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from option_strings(sub)
+
+
+def test_readme_options_match_parser():
+    """README names every option the CLI takes, and no other."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text)) - {"--no-build-isolation"}
+    taken = {o for o in option_strings(cli.build_parser()) if o.startswith("--")} - {"--help"}
+    assert named == taken
 
 
 def test_readme_library_example(capsys):

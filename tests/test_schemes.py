@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from subdiv import catalog, operators
+from subdiv import catalog, operators, refine
 from subdiv.errors import (
-    EtaOutOfRange,
     InvalidParameter,
     NotConstantReproducing,
     SimilarityNotEstablished,
@@ -309,19 +308,21 @@ def test_certificate_internal_consistency():
 
 
 def test_certify_eta_handling():
+    """mu is the one rate knob: it must lie in (mu*, 1), closed at mu* for a
+    stationary target, and the certificate quotes eta = mu_hat."""
     t = catalog.derham_nonstationary(2.0, alpha=1.5)
     c = catalog.chaikin()
-    cert = certify_theorem4(t, c, eta=0.9)
-    assert cert.mu == pytest.approx(0.9 ** cert.n, abs=1e-15)
-    assert cert.eta == 0.9 and cert.mu_hat == pytest.approx(0.9, abs=1e-12)
-    with pytest.raises(EtaOutOfRange):
-        certify_theorem4(t, c, eta=1.0)
-    with pytest.raises(EtaOutOfRange):
-        certify_theorem4(t, c, eta=0.5)  # at mu*, open interval for non-stationary
-    with pytest.raises(EtaOutOfRange):
-        certify_theorem4(t, c, eta=0.6, mu=0.75)  # undercuts mu**(1/n)
+    cert = certify_theorem4(t, c, mu=0.9)
+    assert cert.n == 1 and cert.mu == 0.9
+    assert cert.eta == cert.mu_hat == 0.9
+    with pytest.raises(InvalidParameter):
+        certify_theorem4(t, c, mu=1.0)
+    with pytest.raises(InvalidParameter):
+        certify_theorem4(t, c, mu=0.5)  # at mu*, open interval for non-stationary
+    with pytest.raises(TypeError):
+        certify_theorem4(t, c, eta=0.9)
     # stationary target may ride the exact rate
-    cert = certify_theorem4(c, c, eta=0.5)
+    cert = certify_theorem4(c, c, mu=0.5)
     assert cert.holder_exponent == pytest.approx(1.0, abs=1e-15)
 
 
@@ -413,14 +414,28 @@ def test_c1_prefix_matches_recomposing(target, stop):
 
 
 @pytest.mark.parametrize("gamma, alpha, K, C1", [
-    (1.05, 19.5, 43, 3370.184263189244),
-    (1.2, 15.0, 27, 272.1253617789688),
+    (1.05, 19.5, 43, 3370.1842631892446),
+    (1.2, 15.0, 27, 272.12536177896885),
 ])
 def test_c1_pinned_bits(gamma, alpha, K, C1):
-    """C1 of the slowest corner-cutting items keeps its earlier bits."""
+    """C1 of the slowest corner-cutting items keeps its pinned bits: the
+    exact quotient rounded up to a float."""
     cert = certify_theorem4(catalog.derham_nonstationary(gamma, alpha=alpha),
                             catalog.derham_stationary(gamma), k_range=(1, 256))
     assert (cert.K, cert.C1, cert.meta["c1_exact"]) == (K, C1, False)
+
+
+def test_c1_rounds_up():
+    """With K = n = 1, C1 = 1 / mu_hat.  Rounded to nearest it came out one
+    ulp low, so an impulse's level-1 difference norm 1.0 exceeded its bound
+    C1 * mu_hat = 0.9999999999999999.  Rounded up, the bounds hold."""
+    gamma = 1.8540721346061517
+    target = catalog.derham_nonstationary(gamma, alpha=0.7063320684614316)
+    cert = certify_theorem4(target, catalog.derham_stationary(gamma), k_range=(1, 64))
+    assert (cert.K, cert.n, cert.C1) == (1, 1, 1.316714945080001)
+    assert cert.C1 * cert.mu_hat >= 1.0
+    report = refine.decay_report(target, refine.impulse(8, level=1), 8, certificate=cert)
+    assert report.bounds_hold
 
 
 def test_c1_prefix_compositions_linear_in_K(monkeypatch):
@@ -513,10 +528,10 @@ def certification_record() -> list:
 
 
 def test_certification_golden_digest():
-    """The certificates and scans keep their earlier bits."""
+    """The certificates and scans keep their pinned bits."""
     text = json.dumps(certification_record(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "b44235d1eadf6e1fb42286c6b6e44ec01487c88878ec0e9afdc0bb9a668a0b3c"
+        "f09ca0f2e93fb7ee4961b97df5db88e687a77fe25bd8c888422ab0f0039601dd"
     )
 
 

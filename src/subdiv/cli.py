@@ -58,10 +58,11 @@ FIGURE2_ITERATIONS = (8, 12, 16)
 # those strings are a large share, and 15.4 for figure 2 --out).
 _ARRAY_BYTES = 12
 _ROW_BYTES = 36
-# Bytes analyze's report holds per listed level: the level's entry, with
-# its parity sums and difference rule.  tracemalloc measured 857 a level
-# for derham:gamma=2,alpha=1.5 over --k-range 1:20000.
-_REPORT_LEVEL_BYTES = 1024
+# Bytes analyze holds per listed level: the report's entry, with its
+# parity sums and difference rule, and the mask in the scheme's level
+# table.  tracemalloc measured 1270 a level for derham:gamma=2,alpha=1.5
+# over --k-range 1:20000.
+_REPORT_LEVEL_BYTES = 1536
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:

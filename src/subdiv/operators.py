@@ -86,11 +86,12 @@ MEMORY_BUDGET = 2**30
 # of Chaikin's difference rule; 64 keeps a margin of over 4x.
 _PRODUCT_BYTES = 64
 # Peak bytes the search holds per scanned level, per unit of N + n_max: the
-# level's difference rule (up to 2N coefficients) and up to n_max cells of
-# the scan.  tracemalloc measured about 150 + 33 per coefficient for a rule
-# and 136 per cell, or 1322 and 1418 bytes a level for contraction_scan of
-# corner-cutting (N = 2) and 4-point (N = 3) rules at n_max = 8.
-_LEVEL_BYTES = 160
+# level's mask and difference rule (up to 2N + 1 coefficients each), which
+# stay in the scheme's level table, and up to n_max cells of the scan.
+# tracemalloc measured 1612 and 1732 bytes a level for contraction_scan of
+# corner-cutting (N = 2) and 4-point (N = 3) rules at n_max = 8 and
+# K_max = 3000.
+_LEVEL_BYTES = 192
 
 
 def check_budget(need: int, request: str) -> None:

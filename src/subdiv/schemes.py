@@ -31,14 +31,19 @@ from .operators import (
 # composed stencil grows like 2**length and becomes unrepresentable).
 _EXACT_PRODUCT_CAP = 16
 # Peak bytes per scanned level, charged against the memory budget before
-# the first level is read.  A similarity report keeps three per-level
-# lists: tracemalloc measured 167-177 bytes a level over 20000 levels.  A
-# transfer also holds each level's difference rule and two product norms:
-# 424 bytes a level for corner cutting (N = 2, n = 1) and 502 for a
-# 4-point rule (N = 3, n = 2).  It counts from the target's k0, since the
-# C1 prefix reads the levels before the window.
-_SIMILARITY_LEVEL_BYTES = 200
-_TRANSFER_LEVEL_BYTES = 800
+# the first level is read.  They cover the level table entries that stay
+# with the schemes after the call, as tracemalloc measured them over 2000
+# to 8000 levels of corner cutting (N = 2, n = 1) and a 4-point rule
+# (N = 3, n = 2) against their stationary bases.  A boundedness estimate
+# leaves each level's mask: 377-401 bytes a level.  A similarity report
+# also keeps three per-level lists: 527-549 bytes a level, and 874 when
+# both schemes depend on the level.  A transfer also holds each level's
+# difference rule and two product norms: 802 and 923 bytes a level.  It
+# counts from the target's k0, since the C1 prefix reads the levels before
+# the window.
+_BOUNDEDNESS_LEVEL_BYTES = 512
+_SIMILARITY_LEVEL_BYTES = 1024
+_TRANSFER_LEVEL_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -56,11 +61,14 @@ class AnalyticSimilarity:
 class SchemeSpec:
     """A level-indexed source of masks.
 
-    ``kind`` is one of "stationary", "table", "formula".  ``mask_at(k)`` is
-    a pure function of k; every returned mask must fit in [-N, N].  Table
-    schemes are only defined up to ``max_level``.  ``bound_hint`` asserts a
-    known supremum of the coefficient sup-norms over all levels, replacing
-    windowed estimates in the error constants.
+    ``kind`` is one of "stationary", "table", "formula".  ``mask_fn`` must
+    be a pure function of k: each level's mask is built and checked on its
+    first read, and held with the scheme together with its difference rule
+    once that is derived, so later reads see the first result.  Every mask
+    must fit in [-N, N].  Table schemes are only defined up to
+    ``max_level``.  ``bound_hint`` asserts a known supremum of the
+    coefficient sup-norms over all levels, replacing windowed estimates in
+    the error constants.
     """
 
     kind: str
@@ -72,8 +80,12 @@ class SchemeSpec:
     max_level: int | None = None
     analytic: AnalyticSimilarity | None = None
     descriptor: dict | None = None
+    # level -> (mask, difference rule or None until derived); a stationary
+    # scheme keeps its one entry at k0
+    _levels: dict = field(default_factory=dict, init=False, repr=False)
 
-    def mask_at(self, k: int) -> Mask:
+    def _level(self, k: int) -> tuple[int, Mask, Mask | None]:
+        """The table key of level k and its entry, built on first read."""
         if k < self.k0:
             raise InvalidParameter(
                 f"level {k} is below the scheme's starting level {self.k0}"
@@ -82,13 +94,19 @@ class SchemeSpec:
             raise InvalidParameter(
                 f"level {k} is beyond the scheme's table (last level {self.max_level})"
             )
-        m = self.mask_fn(k)
-        sup = m.support
-        if sup is not None and (sup[0] < -self.N or sup[1] > self.N):
-            raise InvalidParameter(
-                f"mask at level {k} has support {sup}, outside [-{self.N}, {self.N}]"
-            )
-        return m
+        key = self.k0 if self.kind == "stationary" else k
+        if key not in self._levels:
+            m = self.mask_fn(k)
+            sup = m.support
+            if sup is not None and (sup[0] < -self.N or sup[1] > self.N):
+                raise InvalidParameter(
+                    f"mask at level {k} has support {sup}, outside [-{self.N}, {self.N}]"
+                )
+            self._levels[key] = m, None
+        return key, *self._levels[key]
+
+    def mask_at(self, k: int) -> Mask:
+        return self._level(k)[1]
 
     def clamp(self, k_lo: int, k_hi: int) -> tuple[int, int]:
         """The part of the level range [k_lo, k_hi] that this scheme
@@ -105,10 +123,14 @@ class SchemeSpec:
     def difference_mask_at(self, k: int) -> Mask:
         """Difference rule of the level-k mask.  A mask that does not
         reproduce constants raises NotConstantReproducing tagged with k."""
-        try:
-            return difference_mask(self.mask_at(k))
-        except NotConstantReproducing as exc:
-            raise NotConstantReproducing(f"level {k}: {exc}", level=k) from None
+        key, m, q = self._level(k)
+        if q is None:
+            try:
+                q = difference_mask(m)
+            except NotConstantReproducing as exc:
+                raise NotConstantReproducing(f"level {k}: {exc}", level=k) from None
+            self._levels[key] = m, q
+        return q
 
     def to_dict(self) -> dict:
         if self.descriptor is None:
@@ -198,6 +220,8 @@ def boundedness_estimate(scheme: SchemeSpec, k_range: tuple[int, int]) -> Bounde
     k_lo, k_hi = scheme.clamp(*k_range)
     # every level of a stationary scheme has the same mask
     last = k_lo if scheme.kind == "stationary" else k_hi
+    check_budget(_BOUNDEDNESS_LEVEL_BYTES * (last - k_lo + 1),
+                 f"a boundedness estimate on levels {k_lo} to {last}")
     coeff = op = 0.0
     for k in range(k_lo, last + 1):
         m = scheme.mask_at(k)
@@ -226,10 +250,6 @@ class SimilarityReport:
     decay_fit: tuple[float, float] | None
     analytic: bool
     N: int
-
-    @property
-    def per_k_diff(self) -> list[tuple[int, float]]:
-        return list(zip(self.ks, self.diffs))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -352,8 +372,8 @@ def _transfer(
     witness_star: ContractionWitness,
     k_range: tuple[int, int],
     mu: float | None,
-) -> tuple[ContractionWitness, dict, list[Mask]]:
-    """The witness, its scan metadata and the target's difference rules."""
+) -> tuple[ContractionWitness, dict]:
+    """The witness and its scan metadata."""
     if comparator.kind != "stationary":
         raise InvalidParameter("comparator must be a stationary scheme")
     mu_star, n = witness_star.mu, witness_star.n
@@ -380,7 +400,8 @@ def _transfer(
                  f"a transfer over levels {target.k0} to {k_hi + n - 1}")
     # Constant reproduction on every target level from k0, checked before
     # similarity so the failure reported first is the binding one.
-    qs = [target.difference_mask_at(k) for k in range(target.k0, k_hi + n)]
+    for k in range(target.k0, k_hi + n):
+        target.difference_mask_at(k)
     sim = similarity_report(target, comparator, (k_lo, k_hi))
     if sim.similar != "yes":
         raise SimilarityNotEstablished(
@@ -392,7 +413,7 @@ def _transfer(
     arity = 2 ** n
     diffs = []
     tnorms = []
-    for t in runs(qs[k_lo - target.k0 :], n):
+    for t in runs([target.difference_mask_at(k) for k in range(k_lo, k_hi + n)], n):
         diffs.append(class_norm(stencil_difference(t, c), arity))
         tnorms.append(class_norm(t, arity))
 
@@ -423,7 +444,7 @@ def _transfer(
         "max_product_norm_checked": max(checked) if checked else None,
         "similar_analytic": sim.analytic,
     }
-    return witness, meta, qs
+    return witness, meta
 
 
 def transfer_condition_a(
@@ -593,7 +614,7 @@ def certify_theorem4(
 
     if k_range is None:
         k_range = (target.k0, target.k0 + 63)
-    witness, transfer_meta, qs = _transfer(target, comparator, witness_star, k_range, mu)
+    witness, transfer_meta = _transfer(target, comparator, witness_star, k_range, mu)
     K, mu_used = witness.K, witness.mu
     mu_hat = mu_used ** (1.0 / n)
 
@@ -612,7 +633,9 @@ def certify_theorem4(
             f"mu_hat**(K + n - 1) = {mu_hat!r}**{K + n - 1} is too small to "
             "divide by, so C1 is not finite"
         )
-    best, c1_exact = _c1_prefix(qs[: K + n - 1 - target.k0])
+    best, c1_exact = _c1_prefix(
+        [target.difference_mask_at(k) for k in range(target.k0, K + n - 1)]
+    )
     C1 = _c1(best, mu_hat, K + n - 1)
 
     bound = boundedness_estimate(target, (transfer_meta["k_lo"], transfer_meta["k_hi"]))

@@ -104,7 +104,7 @@ def test_criterion_5_similarity_vs_equivalence():
         )
         assert rep.similar == "yes"
         assert rep.equivalent == "not-summable-in-window"
-        for k, diff in rep.per_k_diff:
+        for k, diff in zip(rep.ks, rep.diffs):
             eps = alpha / k
             expected = eps / ((2.0 + gamma + eps) * (2.0 + gamma))
             assert abs(diff - expected) <= 1e-12

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from subdiv import catalog, operators, refine
+from subdiv import catalog, operators, refine, schemes
 from subdiv.errors import (
     InvalidParameter,
     NotConstantReproducing,
@@ -100,6 +101,46 @@ def test_boundedness_stationary_reads_one_level(monkeypatch):
     assert long.to_dict() == {**short.to_dict(), "k_hi": 10**9}
 
 
+def test_boundedness_refuses_range_over_budget():
+    """A level-dependent scheme reads and holds every level of the range,
+    so a range past the memory budget is refused before the first read."""
+    unread = formula_scheme(lambda k: pytest.fail(f"level {k} was read"), k0=1, N=2)
+    with pytest.raises(InvalidParameter, match="memory budget"):
+        boundedness_estimate(unread, (1, 10**9))
+    with pytest.raises(InvalidParameter, match="memory budget"):
+        boundedness_estimate(catalog.derham_nonstationary(2.0, alpha=1.5), (1, 10**9))
+
+
+CHARGED_LEVELS = 2000
+SCAN_K_MAX = 500
+
+
+@pytest.mark.parametrize("read, levels, charge", [
+    pytest.param(lambda t, c: similarity_report(t, c, (1, CHARGED_LEVELS)),
+                 CHARGED_LEVELS, schemes._SIMILARITY_LEVEL_BYTES, id="similarity"),
+    pytest.param(lambda t, c: boundedness_estimate(t, (1, CHARGED_LEVELS)),
+                 CHARGED_LEVELS, schemes._BOUNDEDNESS_LEVEL_BYTES, id="boundedness"),
+    # levels k0 = 1 through k_hi + n - 1, with n = 1
+    pytest.param(lambda t, c: certify_theorem4(t, c, k_range=(1, CHARGED_LEVELS)),
+                 CHARGED_LEVELS, schemes._TRANSFER_LEVEL_BYTES, id="certify"),
+    # levels k0 through k0 + K_max + window + n_max - 1
+    pytest.param(lambda t, c: operators.contraction_scan(t, K_max=SCAN_K_MAX),
+                 SCAN_K_MAX + 64 + 8, operators._LEVEL_BYTES * (2 + 8), id="scan"),
+])
+def test_level_charges_cover_what_is_held(read, levels, charge):
+    """Each range reader's up-front charge a level covers its traced peak,
+    which includes the level table entries it leaves with the schemes."""
+    target = catalog.derham_nonstationary(2.0, alpha=1.5)
+    comparator = catalog.derham_stationary(2.0)
+    tracemalloc.start()
+    try:
+        read(target, comparator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charge * levels
+
+
 def test_similarity_clamps_to_both_domains():
     """The range is clamped like boundedness_estimate's, on both schemes."""
     table = catalog.derham_nonstationary(2.0, eps=[1.5 / k for k in range(1, 13)], k0=1)
@@ -118,7 +159,7 @@ def test_similarity_derham_pair():
     rep = similarity_report(t, c, (1, 64))
     assert rep.similar == "yes" and rep.analytic
     assert rep.equivalent == "not-summable-in-window"
-    for k, diff in rep.per_k_diff:
+    for k, diff in zip(rep.ks, rep.diffs):
         eps = alpha / k
         expected = eps / ((2 + gamma + eps) * (2 + gamma))
         assert diff == pytest.approx(expected, abs=1e-12)
@@ -468,21 +509,32 @@ def test_c1_prefix_compositions_linear_in_K(monkeypatch):
                  (1, 64), id="tension"),
 ])
 def test_certify_reads_each_target_level_once(target, comparator, k_range, monkeypatch):
-    """Certification reads the target's difference rules of levels k0 to
-    k_hi + n - 1 once each, in level order: the transfer reads them, and
-    the C1 prefix takes its levels from the transfer's list."""
-    reads = []
-    read = SchemeSpec.difference_mask_at
+    """Certification, the contraction search and a level-12 decay report on
+    one scheme object build each level's mask once and derive each level's
+    difference rule once: every later read comes from the level table."""
+    built = {}
 
-    def counted(self, k):
-        if self is target:
-            reads.append(k)
-        return read(self, k)
+    def mask_fn(k):
+        assert k not in built, f"level {k} built twice"
+        built[k] = target.mask_fn(k)
+        return built[k]
 
-    monkeypatch.setattr(SchemeSpec, "difference_mask_at", counted)
-    cert = certify_theorem4(target, comparator, k_range=k_range)
-    assert cert.K + cert.n - 1 > target.k0  # the C1 prefix covers some level
-    assert reads == list(range(target.k0, cert.meta["k_hi"] + cert.n))
+    scheme = formula_scheme(mask_fn, k0=target.k0, N=target.N,
+                            bound_hint=target.bound_hint, analytic=target.analytic)
+    derived = []
+
+    def counted(m):
+        derived.append(m)
+        return difference_mask(m)
+
+    monkeypatch.setattr(schemes, "difference_mask", counted)
+    cert = certify_theorem4(scheme, comparator, k_range=k_range)
+    assert cert.K + cert.n - 1 > scheme.k0  # the C1 prefix covers some level
+    condition_a_search(scheme)
+    refine.decay_report(scheme, refine.impulse(8, level=scheme.k0), 12, certificate=cert)
+    # every level read has its rule derived, the comparator's besides
+    levels = {id(m): k for k, m in built.items()}
+    assert sorted(levels[id(m)] for m in derived if id(m) in levels) == sorted(built)
 
 
 def test_transfer_checks_constants_from_k0():
@@ -565,12 +617,10 @@ def test_transfer_tail_not_reached_n2_pinned():
         "product-norm differences never settled below epsilon = 0.054900000000000004 "
         "within levels [1, 64] (last suffix max 0.15227884615384626)"
     )
-    witness, meta, rules = _transfer(target, comparator, witness_star, (1, 256), None)
+    witness, meta = _transfer(target, comparator, witness_star, (1, 256), None)
     assert witness.to_dict() == {"K": 172, "n": 2, "mu": 0.8902, "window": 85, "windowed": True}
     assert meta == {"K_tilde": 172, "epsilon": 0.054900000000000004, "k_lo": 1, "k_hi": 256,
                     "max_product_norm_checked": 0.8352259174620245, "similar_analytic": True}
-    # the rules of levels k0 = 1 through k_hi + n - 1 = 257
-    assert rules == difference_rules(target, 258)
 
 
 def test_transfer_refuses_window_emptied_by_tail():

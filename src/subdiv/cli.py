@@ -32,7 +32,7 @@ from .errors import (
     SubdivError,
     TailNotReached,
 )
-from .masks import difference_mask, parity_sums, reproduces_constants, sup_norm
+from .masks import parity_sums, reproduces_constants, sup_norm
 from .operators import block_ranges, check_budget, condition_a_search, contraction_scan
 from .schemes import (
     ConvergenceCertificate,
@@ -58,11 +58,11 @@ FIGURE2_ITERATIONS = (8, 12, 16)
 # those strings are a large share, and 15.4 for figure 2 --out).
 _ARRAY_BYTES = 12
 _ROW_BYTES = 36
-# Bytes analyze holds per listed level: the report's entry, with its
-# parity sums and difference rule, and the mask in the scheme's level
-# table.  tracemalloc measured 1270 a level for derham:gamma=2,alpha=1.5
-# over --k-range 1:20000.
-_REPORT_LEVEL_BYTES = 1536
+# Bytes analyze holds per listed level besides the scheme's level table:
+# the report's entry, with its parity sums and difference rule.
+# tracemalloc measured 666-730 a level for derham:gamma=2,alpha=1.5 over
+# --k-range 1:2000 and 1:20000, once the table's entries were taken off.
+_REPORT_LEVEL_BYTES = 1024
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -122,8 +122,8 @@ def cmd_analyze(args) -> int:
     report = args.report = {"scheme": scheme.to_dict(), "levels": {}, "contraction": None}
     k_lo, k_hi = scheme.clamp(*(args.k_range or (scheme.k0, scheme.k0 + 16)))
     levels = range(k_lo, k_hi + 1) if scheme.kind != "stationary" else [scheme.k0]
-    check_budget(_REPORT_LEVEL_BYTES * len(levels),
-                 f"a report on levels {k_lo} to {k_hi}")
+    scheme.admit(levels[0], levels[-1], f"a report on levels {k_lo} to {k_hi}",
+                 _REPORT_LEVEL_BYTES * len(levels))
     all_ok = True
     for k in levels:
         m = scheme.mask_at(k)
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
         verdict = "ok" if ok else "FAILS"
         line = f"level {k}: constants {verdict}; ||S_a|| = {sup_norm(m)!r}"
         if ok:
-            q = difference_mask(m)
+            q = scheme.difference_mask_at(k)
             entry["difference_mask"] = q.to_dict()
             entry["difference_norm"] = sup_norm(q)
             if args.verbose or k - k_lo < 3:

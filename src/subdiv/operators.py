@@ -85,23 +85,28 @@ MEMORY_BUDGET = 2**30
 # 2N * 2**n coefficients.  tracemalloc measured about 14 for product_norm
 # of Chaikin's difference rule; 64 keeps a margin of over 4x.
 _PRODUCT_BYTES = 64
-# Peak bytes the search holds per scanned level, per unit of N + n_max: the
-# level's mask and difference rule (up to 2N + 1 coefficients each), which
-# stay in the scheme's level table, and up to n_max cells of the scan.
-# tracemalloc measured 1612 and 1732 bytes a level for contraction_scan of
-# corner-cutting (N = 2) and 4-point (N = 3) rules at n_max = 8 and
-# K_max = 3000.
-_LEVEL_BYTES = 192
+# Peak bytes the search holds per scanned level and per unit of n_max,
+# besides the level table: up to n_max cells of the scan.  tracemalloc
+# measured 115 to 127 for contraction_scan of corner-cutting (N = 2) and
+# 4-point (N = 3) rules at n_max = 8 and K_max = 2000 and 8000, once the
+# table's entries were taken off.
+_LEVEL_BYTES = 160
 
 
-def check_budget(need: int, request: str) -> None:
-    """Refuse ``request`` when its estimated ``need`` in bytes exceeds
-    MEMORY_BUDGET."""
+def check_budget(need: int, request: str) -> int:
+    """``need``, the estimated bytes of ``request``; refuses the request
+    when they exceed MEMORY_BUDGET."""
     if need > MEMORY_BUDGET:
         raise InvalidParameter(
             f"{request} needs about {need >> 20} MiB, over the "
             f"{MEMORY_BUDGET >> 20} MiB memory budget"
         )
+    return need
+
+
+def product_bytes(N: int, n: int) -> int:
+    """Peak bytes of a product of n rules of a scheme with locality N."""
+    return _PRODUCT_BYTES * 2 * N << min(n, 64)
 
 
 # Values per block in the blocked passes over a window: input values in
@@ -298,23 +303,17 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
     """
     if n_max < 1 or window < 1 or K_max < 0:
         raise InvalidParameter("n_max and window must be >= 1, K_max >= 0")
-    # an n-fold product stencil holds about len(q) * 2**n coefficients
-    check_budget(
-        _PRODUCT_BYTES * 2 * scheme.N << min(n_max, 64),
-        f"products of up to {n_max} difference rules",
-    )
-    k0 = scheme.k0
+    k0 = last = scheme.k0
+    if scheme.kind != "stationary":
+        _, last = scheme.clamp(k0, k0 + K_max + window + n_max - 1)
+    scheme.admit(k0, last, f"products of up to {n_max} rules over levels {k0} to {last}",
+                 product_bytes(scheme.N, n_max) + _LEVEL_BYTES * n_max * (last - k0 + 1))
     if scheme.kind == "stationary":
         q = scheme.difference_mask_at(k0)
         for n, p in enumerate(products([q] * n_max), 1):
             yield n, k0, class_norm(p, 2**n), 1
         return
 
-    _, last = scheme.clamp(k0, k0 + K_max + window + n_max - 1)
-    check_budget(
-        _LEVEL_BYTES * (scheme.N + n_max) * (last - k0 + 1),
-        f"difference rules for levels {k0} to {last}",
-    )
     qs = [scheme.difference_mask_at(k) for k in range(k0, last + 1)]
     for n in range(1, n_max + 1):
         norms = [class_norm(p, 2**n) for p in runs(qs, n)]

@@ -23,27 +23,20 @@ from .masks import (
     stencil, stencil_difference, sup_norm,
 )
 from .operators import (
-    ContractionWitness, check_budget, condition_a_search, products, runs,
+    ContractionWitness, check_budget, condition_a_search, product_bytes, products, runs,
 )
 
 # Explicit compositions are kept exact up to this many factors; longer
 # prefixes fall back to a submultiplicative chunked upper bound (the
 # composed stencil grows like 2**length and becomes unrepresentable).
 _EXACT_PRODUCT_CAP = 16
-# Peak bytes per scanned level, charged against the memory budget before
-# the first level is read.  They cover the level table entries that stay
-# with the schemes after the call, as tracemalloc measured them over 2000
-# to 8000 levels of corner cutting (N = 2, n = 1) and a 4-point rule
-# (N = 3, n = 2) against their stationary bases.  A boundedness estimate
-# leaves each level's mask: 377-401 bytes a level.  A similarity report
-# also keeps three per-level lists: 527-549 bytes a level, and 874 when
-# both schemes depend on the level.  A transfer also holds each level's
-# difference rule and two product norms: 802 and 923 bytes a level.  It
-# counts from the target's k0, since the C1 prefix reads the levels before
-# the window.
-_BOUNDEDNESS_LEVEL_BYTES = 512
-_SIMILARITY_LEVEL_BYTES = 1024
-_TRANSFER_LEVEL_BYTES = 1024
+# Bytes charged for each level a scheme's table holds or a reader reads:
+# the level's mask and difference rule, and the per-level lists of the
+# reader.  tracemalloc measured 544-590 bytes a level for the entries of
+# corner cutting (N = 2) and 664-710 for a 4-point rule (N = 3) over 2000
+# to 8000 levels, and a transfer against the stationary base peaks at
+# 745-780 and 986 bytes a level.
+_ENTRY_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -107,6 +100,13 @@ class SchemeSpec:
 
     def mask_at(self, k: int) -> Mask:
         return self._level(k)[1]
+
+    def admit(self, lo: int, hi: int, request: str, transient: int = 0) -> int:
+        """The bytes charged for reading levels lo to hi: one entry a level
+        of the range and a level held outside it, plus ``transient``.
+        Refuses ``request`` when they exceed the memory budget."""
+        held = sum(not lo <= k <= hi for k in self._levels)
+        return check_budget(_ENTRY_BYTES * (held + hi - lo + 1) + transient, request)
 
     def clamp(self, k_lo: int, k_hi: int) -> tuple[int, int]:
         """The part of the level range [k_lo, k_hi] that this scheme
@@ -220,8 +220,7 @@ def boundedness_estimate(scheme: SchemeSpec, k_range: tuple[int, int]) -> Bounde
     k_lo, k_hi = scheme.clamp(*k_range)
     # every level of a stationary scheme has the same mask
     last = k_lo if scheme.kind == "stationary" else k_hi
-    check_budget(_BOUNDEDNESS_LEVEL_BYTES * (last - k_lo + 1),
-                 f"a boundedness estimate on levels {k_lo} to {last}")
+    scheme.admit(k_lo, last, f"a boundedness estimate on levels {k_lo} to {last}")
     coeff = op = 0.0
     for k in range(k_lo, last + 1):
         m = scheme.mask_at(k)
@@ -307,8 +306,8 @@ def similarity_report(
     k_lo, k_hi = b.clamp(*a.clamp(*k_range))
     if k_hi - k_lo + 1 < 8:
         raise InvalidParameter("similarity window must cover at least 8 levels")
-    check_budget(_SIMILARITY_LEVEL_BYTES * (k_hi - k_lo + 1),
-                 f"a similarity report on levels {k_lo} to {k_hi}")
+    for s in (a, b):
+        s.admit(k_lo, k_hi, f"a similarity report on levels {k_lo} to {k_hi}")
     ks, diffs, psums = [], [], []
     running = 0.0
     for k in range(k_lo, k_hi + 1):
@@ -396,7 +395,8 @@ def _transfer(
         )
     eps = (mu - mu_star) / 2.0
 
-    check_budget(_TRANSFER_LEVEL_BYTES * (k_hi + n - target.k0),
+    # counted from k0, since the C1 prefix reads the levels before the window
+    target.admit(target.k0, k_hi + n - 1,
                  f"a transfer over levels {target.k0} to {k_hi + n - 1}")
     # Constant reproduction on every target level from k0, checked before
     # similarity so the failure reported first is the binding one.
@@ -633,9 +633,10 @@ def certify_theorem4(
             f"mu_hat**(K + n - 1) = {mu_hat!r}**{K + n - 1} is too small to "
             "divide by, so C1 is not finite"
         )
-    best, c1_exact = _c1_prefix(
-        [target.difference_mask_at(k) for k in range(target.k0, K + n - 1)]
-    )
+    prefix = range(target.k0, K + n - 1)
+    target.admit(target.k0, K + n - 2, f"a C1 prefix over levels {target.k0} to {K + n - 2}",
+                 product_bytes(target.N, min(_EXACT_PRODUCT_CAP, len(prefix))))
+    best, c1_exact = _c1_prefix([target.difference_mask_at(k) for k in prefix])
     C1 = _c1(best, mu_hat, K + n - 1)
 
     bound = boundedness_estimate(target, (transfer_meta["k_lo"], transfer_meta["k_hi"]))
@@ -648,22 +649,15 @@ def certify_theorem4(
         )
     holder = abs(math.log2(mu_hat))
 
-    meta = dict(transfer_meta)
-    meta.update(
-        {
-            "window": witness.window,
-            "sup_from_hint": bound.from_hint,
-            "c1_exact": c1_exact,
-            "comparator_K": witness_star.K,
-            "degenerate": bool(
-                stationary_target
-                and coeff_norm(
-                    target.mask_at(target.k0) - comparator.mask_at(comparator.k0)
-                )
-                <= TOL
-            ),
-        }
-    )
+    meta = {
+        **transfer_meta,
+        "window": witness.window,
+        "sup_from_hint": bound.from_hint,
+        "c1_exact": c1_exact,
+        "comparator_K": witness_star.K,
+        "degenerate": stationary_target and coeff_norm(
+            target.mask_at(target.k0) - comparator.mask_at(comparator.k0)) <= TOL,
+    }
     return ConvergenceCertificate(
         mu_star=mu_star, n=n, K=K, mu=mu_used, mu_hat=mu_hat, eta=mu_hat,
         C1=C1, C2=C2, Gamma=Gamma, C=C, holder_exponent=holder,

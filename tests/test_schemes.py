@@ -115,30 +115,98 @@ CHARGED_LEVELS = 2000
 SCAN_K_MAX = 500
 
 
-@pytest.mark.parametrize("read, levels, charge", [
-    pytest.param(lambda t, c: similarity_report(t, c, (1, CHARGED_LEVELS)),
-                 CHARGED_LEVELS, schemes._SIMILARITY_LEVEL_BYTES, id="similarity"),
-    pytest.param(lambda t, c: boundedness_estimate(t, (1, CHARGED_LEVELS)),
-                 CHARGED_LEVELS, schemes._BOUNDEDNESS_LEVEL_BYTES, id="boundedness"),
-    # levels k0 = 1 through k_hi + n - 1, with n = 1
-    pytest.param(lambda t, c: certify_theorem4(t, c, k_range=(1, CHARGED_LEVELS)),
-                 CHARGED_LEVELS, schemes._TRANSFER_LEVEL_BYTES, id="certify"),
-    # levels k0 through k0 + K_max + window + n_max - 1
-    pytest.param(lambda t, c: operators.contraction_scan(t, K_max=SCAN_K_MAX),
-                 SCAN_K_MAX + 64 + 8, operators._LEVEL_BYTES * (2 + 8), id="scan"),
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda t, c: similarity_report(t, c, (1, CHARGED_LEVELS)), id="similarity"),
+    pytest.param(lambda t, c: boundedness_estimate(t, (1, CHARGED_LEVELS)), id="boundedness"),
+    pytest.param(lambda t, c: certify_theorem4(t, c, k_range=(1, CHARGED_LEVELS)), id="certify"),
+    pytest.param(lambda t, c: operators.contraction_scan(t, K_max=SCAN_K_MAX), id="scan"),
 ])
-def test_level_charges_cover_what_is_held(read, levels, charge):
-    """Each range reader's up-front charge a level covers its traced peak,
-    which includes the level table entries it leaves with the schemes."""
+def test_level_charges_cover_what_is_held(read, monkeypatch):
+    """Each range reader's up-front charges cover its traced peak, which
+    includes the level table entries it leaves with the schemes.  What was
+    charged is, summed over the schemes, the largest need each admitted."""
     target = catalog.derham_nonstationary(2.0, alpha=1.5)
     comparator = catalog.derham_stationary(2.0)
+    charged = {}
+    admit = SchemeSpec.admit
+
+    def recorded(self, lo, hi, request, transient=0):
+        need = admit(self, lo, hi, request, transient)
+        charged[id(self)] = max(charged.get(id(self), 0), need)
+        return need
+
+    monkeypatch.setattr(SchemeSpec, "admit", recorded)
     tracemalloc.start()
     try:
         read(target, comparator)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= charge * levels
+    assert charged and peak <= sum(charged.values())
+
+
+def reads_recorded(reads: list) -> SchemeSpec:
+    """derham(2, 1.5) as a formula scheme whose mask_fn records each level."""
+    base = catalog.derham_nonstationary(2.0, alpha=1.5)
+    return formula_scheme(lambda k: reads.append(k) or base.mask_fn(k), k0=1, N=base.N)
+
+
+def test_table_account_refuses_calls_that_add_up(monkeypatch):
+    """Admitted calls on one scheme object add up in its table, so the call
+    that would take the table past the budget is refused before any level
+    of its range is read, and what was admitted stays within the budget."""
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 2**21)
+    reads = []
+    scheme = reads_recorded(reads)
+    per_call = 700
+    tracemalloc.start()
+    try:
+        for call in range(10):
+            lo = 1 + call * per_call
+            held = len(reads)
+            try:
+                boundedness_estimate(scheme, (lo, lo + per_call - 1))
+            except InvalidParameter as exc:
+                assert "memory budget" in str(exc)
+                break
+            assert tracemalloc.get_traced_memory()[0] <= operators.MEMORY_BUDGET
+        else:
+            pytest.fail("no call was refused")
+    finally:
+        tracemalloc.stop()
+    assert call >= 2 and len(reads) == held == call * per_call
+
+
+def test_table_account_admits_held_levels(monkeypatch):
+    """Levels already held are not charged twice: reading a range again, or
+    a similarity report over the window a certificate has read, is admitted
+    without a new read, where a fresh range of the same size is not."""
+    certified = catalog.derham_nonstationary(2.0, alpha=1.5)
+    comparator = catalog.derham_stationary(2.0)
+    cert = certify_theorem4(certified, comparator, k_range=(1, 600))
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 700 * schemes._ENTRY_BYTES)
+    reads = []
+    scheme = reads_recorded(reads)
+    boundedness_estimate(scheme, (1, 600))
+    boundedness_estimate(scheme, (1, 600))
+    assert reads == list(range(1, 601))
+    with pytest.raises(InvalidParameter, match="memory budget"):
+        boundedness_estimate(scheme, (601, 1200))
+    assert len(reads) == 600
+    window = cert.meta["k_lo"], cert.meta["k_hi"]
+    assert similarity_report(certified, comparator, window).similar == "yes"
+
+
+def test_similarity_refuses_long_stationary_range():
+    """Every level of the range is charged, so two stationary schemes, each
+    holding one entry, are refused over 10**9 levels before any read."""
+    unread = [SchemeSpec(kind="stationary", k0=0, N=2,
+                         mask_fn=lambda k: pytest.fail(f"level {k} was read"))
+              for _ in range(2)]
+    with pytest.raises(InvalidParameter, match="memory budget"):
+        similarity_report(catalog.chaikin(), catalog.chaikin(), (0, 10**9))
+    with pytest.raises(InvalidParameter, match="memory budget"):
+        similarity_report(*unread, (0, 10**9))
 
 
 def test_similarity_clamps_to_both_domains():

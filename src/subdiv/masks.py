@@ -140,8 +140,10 @@ def stencil(m: Mask) -> tuple[int, Sequence[float]]:
 
 
 # Stencils up to this long take their class sums in a Python loop, which
-# beats the fixed cost of the numpy calls on the short rules and products
-# of the contraction search and the transfer.
+# beats the fixed cost of the numpy calls on one short stencil.  Its hot
+# callers are the products of n >= 2 rules, in the contraction search and
+# the transfer, and the C1 prefix; the n = 1 norms of a window of levels
+# take ``class_norms`` over its block of rows instead.
 _SHORT_STENCIL = 32
 
 
@@ -157,6 +159,32 @@ def class_norm(stencil: tuple[int, Sequence[float]], arity: int) -> float:
     for p, c in enumerate(_floats(coeffs), base):
         sums[p % arity] += abs(c)
     return max(sums)
+
+
+def class_norms(rows: np.ndarray, base: int, arity: int) -> np.ndarray:
+    """``class_norm`` of each row of a block of stencils that all start at
+    index ``base``.  The class sums are taken column by column in index
+    order, so each row's sums see the same additions, in the same order,
+    as ``class_norm`` of its stencil; the +0.0 that pads a row adds
+    nothing."""
+    weights = np.abs(rows)
+    sums = np.zeros((len(rows), arity))
+    for j in range(rows.shape[1]):
+        sums[:, (base + j) % arity] += weights[:, j]
+    return sums.max(axis=1)
+
+
+def row_stencils(rows: np.ndarray, base: int) -> list[tuple[int, np.ndarray]]:
+    """The stencils of a block of rows that start at index ``base``, each
+    cut to its nonzero coefficients as ``Mask`` cuts them: the stencils of
+    the masks the rows hold."""
+    nonzero = rows != 0.0
+    first = nonzero.argmax(axis=1).tolist()
+    stop = (rows.shape[1] - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    return [
+        (base + a, row[a:b]) if a < b else (0, row[:0])
+        for row, a, b in zip(rows, first, stop)
+    ]
 
 
 def _aligned(a, b) -> tuple[int, np.ndarray, np.ndarray]:
@@ -244,34 +272,89 @@ def reproduces_constants(m: Mask) -> bool:
     return abs(symbol_eval(m, -1.0)) <= TOL and abs(symbol_eval(m, 1.0) - 2.0) <= TOL
 
 
-def difference_mask(m: Mask) -> Mask:
-    """Divide the symbol exactly by (1 + z): the mask acting on backward
-    differences.
+# A row's verdict from ``difference_rows``: its rule is derived, its mask
+# does not reproduce constants, or (``REBUILT_AT`` plus the column) the
+# rule fails to rebuild the mask at that column.
+RULE_OK = 0
+NOT_REPRODUCING = 1
+REBUILT_AT = 2
 
-    Computed by the alternating partial-sum recurrence q[i] = m[i] - q[i-1],
-    then cross-checked against the reconstruction m[i] = q[i] + q[i-1];
-    disagreement beyond an internal tolerance indicates a bug, not bad input.
-    Requires constant reproduction (the division must leave no remainder).
+
+def difference_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each symbol of a block of mask rows exactly by (1 + z): the
+    rules acting on backward differences, and each row's verdict.
+
+    ``rows`` holds one mask a row from index -N over 2N + 1 columns; the
+    rules come as rows from -N over 2N columns, +0.0 off their
+    coefficients.  Every step runs one vector operation per column, in
+    index order, so each row gets the floats a loop over its own mask
+    would: the symbol sums at -1 and +1 of the constant-reproduction test
+    (within TOL of 0 and 2), the alternating partial-sum recurrence
+    q[i] = m[i] - q[i-1] below the mask's top index, the end trim at
+    TRIM_TOL, and the reconstruction m[i] = q[i] + q[i-1], which must hold
+    within an internal tolerance (disagreement indicates a bug, not bad
+    input).  A row that fails a check keeps its verdict, NOT_REPRODUCING
+    or REBUILT_AT plus the first column off; ``rule_failure`` turns it
+    into the error to raise.
     """
-    if not reproduces_constants(m):
-        even, odd = parity_sums(m)
-        raise NotConstantReproducing(
+    levels, width = rows.shape
+    N = width // 2
+    at_minus_one, at_one = np.zeros(levels), np.zeros(levels)
+    rules = np.zeros((levels, width + 1))  # one +0.0 column either side
+    with np.errstate(all="ignore"):  # non-finite rows fail like the loop
+        for j in range(width):
+            col = rows[:, j]
+            at_one += col
+            if (j - N) % 2:
+                at_minus_one -= col
+            else:
+                at_minus_one += col
+            if j < width - 1:
+                np.subtract(col, rules[:, j], out=rules[:, j + 1])
+        verdict = np.where(
+            (np.abs(at_minus_one) <= TOL) & (np.abs(at_one - 2.0) <= TOL),
+            RULE_OK, NOT_REPRODUCING,
+        )
+        q = rules[:, 1:-1]
+        # the recurrence stops below each mask's top index
+        past_top = ~np.logical_or.accumulate(rows[:, :0:-1] != 0.0, axis=1)[:, ::-1]
+        q[past_top] = 0.0
+        kept = np.abs(q) > TRIM_TOL
+        q[~(np.logical_or.accumulate(kept, axis=1)
+            & np.logical_or.accumulate(kept[:, ::-1], axis=1)[:, ::-1])] = 0.0
+        off = np.abs(rows - (rules[:, 1:] + rules[:, :-1])) > _RECONSTRUCT_TOL
+    rebuilt = off.any(axis=1) & (verdict == RULE_OK)
+    verdict[rebuilt] = REBUILT_AT + off[rebuilt].argmax(axis=1)
+    return q, verdict
+
+
+def rule_failure(row: np.ndarray, verdict: int) -> Exception:
+    """The error that ``difference_rows`` reports for the mask ``row`` with
+    this failing verdict."""
+    N = len(row) // 2
+    if verdict == NOT_REPRODUCING:
+        even, odd = parity_sums(Mask(-N, row))
+        return NotConstantReproducing(
             f"mask does not reproduce constants (parity sums {even!r}, {odd!r})"
         )
-    acc = 0.0
-    out = []
-    for c in m.coeffs[:-1]:
-        acc = c - acc
-        out.append(acc)
-    q = Mask(*_trimmed(m.base, out, TRIM_TOL))
-    lo, hi = m.support  # type: ignore[misc]  # non-zero: it reproduces constants
-    for i in range(lo, hi + 1):
-        if abs(m[i] - (q[i] + q[i - 1])) > _RECONSTRUCT_TOL:
-            raise RuntimeError(
-                f"difference-mask reconstruction failed at index {i}; "
-                "the two division routes disagree"
-            )
-    return q
+    return RuntimeError(
+        f"difference-mask reconstruction failed at index {verdict - REBUILT_AT - N}; "
+        "the two division routes disagree"
+    )
+
+
+def difference_mask(m: Mask) -> Mask:
+    """Divide the symbol exactly by (1 + z): the mask acting on backward
+    differences, derived by ``difference_rows`` on the mask's one row.
+    Requires constant reproduction (the division must leave no remainder).
+    """
+    N = max(-m.base, m.base + len(m) - 1, 0)
+    rows = np.zeros((1, 2 * N + 1))
+    rows[0, N + m.base : N + m.base + len(m)] = m.coeffs
+    rules, verdict = difference_rows(rows)
+    if verdict[0] != RULE_OK:
+        raise rule_failure(rows[0], verdict[0])
+    return Mask(-N, rules[0])
 
 
 def mask_from_difference(q: Mask) -> Mask:

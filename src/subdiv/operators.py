@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractionNotFound, EmptyOutput, InvalidParameter
-from .masks import Mask, class_norm, compose_coeffs, stencil
+from .masks import Mask, class_norm, class_norms, compose_coeffs, row_stencils, stencil
 
 
 class Window:
@@ -241,34 +241,37 @@ def _compose_next(held, rule):
     return compose_coeffs(rule, held, 2)
 
 
-def products(rules: Sequence[Mask]):
-    """The stencils of the products of the first 1, 2, ... arity-2 rules in
-    level order, the first rule acting first, as an iterator."""
-    return itertools.accumulate(map(stencil, rules), _compose_next)
+def products(rules: Sequence[tuple[int, Sequence[float]]]):
+    """The stencils of the products of the first 1, 2, ... arity-2 rules,
+    given as stencils, in level order, the first rule acting first, as an
+    iterator."""
+    return itertools.accumulate(rules, _compose_next)
 
 
-def _product(rules: Sequence[Mask]) -> tuple[int, Sequence[float]]:
-    """Stencil of the product of all the rules, in level order."""
+def _product(rules: Sequence[tuple[int, Sequence[float]]]) -> tuple[int, Sequence[float]]:
+    """Stencil of the product of all the rules, given as stencils, in level
+    order."""
     if not rules:
         raise InvalidParameter("empty operator product")
-    return functools.reduce(_compose_next, map(stencil, rules))
+    return functools.reduce(_compose_next, rules)
 
 
-def runs(rules: Sequence[Mask], n: int):
-    """Yield the stencils of the products of each n consecutive rules in
-    level order: the product of ``rules[k : k + n]``, for k = 0, 1, ..."""
+def runs(rules: Sequence[tuple[int, Sequence[float]]], n: int):
+    """Yield the stencils of the products of each n consecutive rules,
+    given as stencils, in level order: the product of ``rules[k : k + n]``,
+    for k = 0, 1, ..."""
     return (_product(rules[k : k + n]) for k in range(len(rules) - n + 1))
 
 
 def compose_all(masks: Sequence[Mask]) -> ProductOperator:
     """Compose arity-2 rules; the LAST mask in the list acts first."""
-    base, coeffs = _product(masks[::-1])
+    base, coeffs = _product([stencil(m) for m in masks[::-1]])
     return ProductOperator(Mask(base, coeffs), len(masks))
 
 
 def product_norm(masks: Sequence[Mask]) -> float:
     """Sup-norm of the composed operator; the last mask acts first."""
-    return class_norm(_product(masks[::-1]), 2 ** len(masks))
+    return class_norm(_product([stencil(m) for m in masks[::-1]]), 2 ** len(masks))
 
 
 @dataclass(frozen=True)
@@ -308,15 +311,20 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
         _, last = scheme.clamp(k0, k0 + K_max + window + n_max - 1)
     scheme.admit(k0, last, f"products of up to {n_max} rules over levels {k0} to {last}",
                  product_bytes(scheme.N, n_max) + _LEVEL_BYTES * n_max * (last - k0 + 1))
+    rules = scheme._block(k0, last, rules=True)
     if scheme.kind == "stationary":
-        q = scheme.difference_mask_at(k0)
+        q = row_stencils(rules, -scheme.N)[0]
         for n, p in enumerate(products([q] * n_max), 1):
             yield n, k0, class_norm(p, 2**n), 1
         return
 
-    qs = [scheme.difference_mask_at(k) for k in range(k0, last + 1)]
     for n in range(1, n_max + 1):
-        norms = [class_norm(p, 2**n) for p in runs(qs, n)]
+        if n == 1:
+            norms = class_norms(rules, -scheme.N, 2).tolist()
+        else:
+            if n == 2:
+                qs = row_stencils(rules, -scheme.N)
+            norms = [class_norm(p, 2**n) for p in runs(qs, n)]
         for K in range(k0, k0 + K_max + 1):
             cell = norms[K - k0 : K - k0 + window + 1]
             if not cell:

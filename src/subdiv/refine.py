@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfDomain
-from .masks import TOL, Mask, difference_mask, reproduces_constants
+from .errors import InvalidParameter, NotConstantReproducing, OutOfDomain
+from .masks import TOL, Mask
 from .operators import Window, apply, block_ranges
 from .schemes import ConvergenceCertificate, SchemeSpec
 
@@ -99,18 +99,21 @@ def refine_once(state: RefinementState, scheme: SchemeSpec) -> RefinementState:
     """One refinement step: apply the level mask, move to the finer grid.
 
     When the level mask reproduces constants, the differences of the new
-    values are cross-checked against the difference rule applied to the old
-    differences; disagreement indicates an indexing bug and raises
-    RuntimeError.
+    values are cross-checked against the level's difference rule, read from
+    the scheme's level table, applied to the old differences; disagreement
+    indicates an indexing bug and raises RuntimeError.
     """
     if state.level < scheme.k0:
         raise InvalidParameter(
             f"state level {state.level} precedes the scheme's start {scheme.k0}"
         )
-    m = scheme.mask_at(state.level)
-    new_window = apply(m, state.window)
-    if reproduces_constants(m):
-        _check_difference_rule(difference_mask(m), state, new_window)
+    new_window = apply(scheme.mask_at(state.level), state.window)
+    try:
+        q = scheme.difference_mask_at(state.level)
+    except NotConstantReproducing:
+        q = None  # no difference rule to cross-check
+    if q is not None:
+        _check_difference_rule(q, state, new_window)
     return RefinementState(state.level + 1, new_window)
 
 

@@ -5,6 +5,7 @@ explicit error constants."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -19,8 +20,8 @@ from .errors import (
     TailNotReached,
 )
 from .masks import (
-    DECAY_MARGIN, ROUND_TOL, TOL, Mask, class_norm, coeff_norm, difference_mask,
-    stencil, stencil_difference, sup_norm,
+    DECAY_MARGIN, ROUND_TOL, TOL, Mask, class_norm, class_norms, coeff_norm,
+    difference_rows, row_stencils, rule_failure, stencil_difference,
 )
 from .operators import (
     ContractionWitness, check_budget, condition_a_search, product_bytes, products, runs,
@@ -31,12 +32,74 @@ from .operators import (
 # composed stencil grows like 2**length and becomes unrepresentable).
 _EXACT_PRODUCT_CAP = 16
 # Bytes charged for each level a scheme's table holds or a reader reads:
-# the level's mask and difference rule, and the per-level lists of the
-# reader.  tracemalloc measured 544-590 bytes a level for the entries of
-# corner cutting (N = 2) and 664-710 for a 4-point rule (N = 3) over 2000
-# to 8000 levels, and a transfer against the stationary base peaks at
-# 745-780 and 986 bytes a level.
+# the level's mask and rule rows, and the per-level arrays and lists of
+# the reader.  tracemalloc measured 98-153 bytes a level held for corner
+# cutting (N = 2) and 136-209 for a 4-point rule (N = 3), over 2000 to
+# 8000 levels read as one block.  Read one level at a time, when the
+# doubled capacity can reach twice the levels held, they measured 227-297
+# and 314-405, peaking at 377 and 517 while the rows are copied.  A
+# transfer against the stationary base peaks at 316-370 and 481-551 bytes
+# a level, a similarity report at 316-369 and 370-440.  So the charge
+# covers rows of N up to about 10 at their full capacity.
 _ENTRY_BYTES = 1024
+
+
+class _LevelTable:
+    """The rows of consecutive levels from ``start``, each from index -N:
+    the masks of the first ``built`` levels (2N + 1 columns) and the
+    difference rules (2N columns) and ``difference_rows`` verdicts of the
+    first ``derived`` of them.  The arrays grow by doubling, so a table
+    read one level at a time copies each row a bounded number of times."""
+
+    __slots__ = ("start", "masks", "rules", "verdicts", "built", "derived")
+
+    def __init__(self, start: int):
+        self.start = start
+        self.masks = self.rules = self.verdicts = None
+        self.built = self.derived = 0
+
+    def _reserve(self, count: int, N: int) -> None:
+        held = 0 if self.masks is None else len(self.masks)
+        if count <= held:
+            return
+        cap = max(count, 2 * held)
+        grown = np.zeros((cap, 2 * N + 1)), np.zeros((cap, 2 * N)), np.zeros(cap, int)
+        if held:
+            for new, old in zip(grown, (self.masks, self.rules, self.verdicts)):
+                new[:held] = old
+        self.masks, self.rules, self.verdicts = grown
+
+    def build(self, scheme: "SchemeSpec", last: int) -> None:
+        """Build the masks of the rows up to ``last``, in level order."""
+        N = scheme.N
+        self._reserve(last + 1, N)
+        for r in range(self.built, last + 1):
+            k = self.start + r
+            m = scheme.mask_fn(k)
+            sup = m.support
+            if sup is not None and (sup[0] < -N or sup[1] > N):
+                raise InvalidParameter(
+                    f"mask at level {k} has support {sup}, outside [-{N}, {N}]"
+                )
+            self.masks[r, N + m.base : N + m.base + len(m)] = m.coeffs
+            self.built = r + 1
+
+    def derive(self, first: int, last: int, level: int) -> None:
+        """Derive the rules of the built rows up to ``last`` not derived yet,
+        and raise the error of the first of rows ``first`` to ``last`` whose
+        mask has no rule; row ``first`` holds ``level``."""
+        if last >= self.derived:
+            rows = slice(self.derived, last + 1)
+            self.rules[rows], self.verdicts[rows] = difference_rows(self.masks[rows])
+            self.derived = last + 1
+        failed = np.flatnonzero(self.verdicts[first : last + 1])
+        if len(failed):
+            r = first + int(failed[0])
+            exc = rule_failure(self.masks[r], int(self.verdicts[r]))
+            if isinstance(exc, NotConstantReproducing):
+                k = level + r - first
+                raise NotConstantReproducing(f"level {k}: {exc}", level=k)
+            raise exc
 
 
 @dataclass(frozen=True)
@@ -73,39 +136,71 @@ class SchemeSpec:
     max_level: int | None = None
     analytic: AnalyticSimilarity | None = None
     descriptor: dict | None = None
-    # level -> (mask, difference rule or None until derived); a stationary
-    # scheme keeps its one entry at k0
-    _levels: dict = field(default_factory=dict, init=False, repr=False)
+    # the level table, from k0; a stationary scheme holds its one level
+    _table: _LevelTable = field(init=False, repr=False)
 
-    def _level(self, k: int) -> tuple[int, Mask, Mask | None]:
-        """The table key of level k and its entry, built on first read."""
-        if k < self.k0:
-            raise InvalidParameter(
-                f"level {k} is below the scheme's starting level {self.k0}"
-            )
-        if self.max_level is not None and k > self.max_level:
-            raise InvalidParameter(
-                f"level {k} is beyond the scheme's table (last level {self.max_level})"
-            )
-        key = self.k0 if self.kind == "stationary" else k
-        if key not in self._levels:
-            m = self.mask_fn(k)
-            sup = m.support
-            if sup is not None and (sup[0] < -self.N or sup[1] > self.N):
+    def __post_init__(self):
+        object.__setattr__(self, "_table", _LevelTable(self.k0))
+
+    def _block(self, lo: int, hi: int, rules: bool = False) -> np.ndarray:
+        """The rows of levels lo to hi from index -N: their masks, or their
+        difference rules when ``rules``, read-only.
+
+        A level's mask is built on its first read and its rule derived on
+        the first read of rules, both then held in the level table.  A range
+        that starts past the levels held is read into a table of its own,
+        for this call only, so the levels between are never built.  A
+        reading of rules raises for the first level of the range, in level
+        order, whose mask cannot be built or has no rule; a level that does
+        not reproduce constants raises NotConstantReproducing tagged with
+        its level."""
+        if hi < lo:
+            return np.zeros((0, 2 * self.N + (not rules)))
+        for k in (lo, hi):
+            if k < self.k0:
                 raise InvalidParameter(
-                    f"mask at level {k} has support {sup}, outside [-{self.N}, {self.N}]"
+                    f"level {k} is below the scheme's starting level {self.k0}"
                 )
-            self._levels[key] = m, None
-        return key, *self._levels[key]
+            if self.max_level is not None and k > self.max_level:
+                raise InvalidParameter(
+                    f"level {k} is beyond the scheme's table (last level {self.max_level})"
+                )
+        table = self._table
+        if self.kind == "stationary":
+            first = last = 0
+        else:
+            if lo > table.start + table.built:
+                table = _LevelTable(lo)
+            first, last = lo - table.start, hi - table.start
+        if not rules:
+            table.build(self, last)
+            block = table.masks[first : last + 1]
+        else:
+            failure = None
+            try:
+                table.build(self, last)
+            except Exception as exc:  # any error of mask_fn, after the rules before it
+                failure = exc
+            table.derive(first, min(last, table.built - 1), lo)
+            if failure is not None:
+                raise failure
+            block = table.rules[first : last + 1]
+        if self.kind == "stationary":
+            return np.broadcast_to(block, (hi - lo + 1, block.shape[1]))
+        block = block.view()
+        block.flags.writeable = False
+        return block
 
     def mask_at(self, k: int) -> Mask:
-        return self._level(k)[1]
+        return Mask(-self.N, self._block(k, k)[0])
 
     def admit(self, lo: int, hi: int, request: str, transient: int = 0) -> int:
         """The bytes charged for reading levels lo to hi: one entry a level
         of the range and a level held outside it, plus ``transient``.
         Refuses ``request`` when they exceed the memory budget."""
-        held = sum(not lo <= k <= hi for k in self._levels)
+        t = self._table
+        inside = min(hi, t.start + t.built - 1) - max(lo, t.start) + 1
+        held = t.built - max(inside, 0)
         return check_budget(_ENTRY_BYTES * (held + hi - lo + 1) + transient, request)
 
     def clamp(self, k_lo: int, k_hi: int) -> tuple[int, int]:
@@ -123,14 +218,7 @@ class SchemeSpec:
     def difference_mask_at(self, k: int) -> Mask:
         """Difference rule of the level-k mask.  A mask that does not
         reproduce constants raises NotConstantReproducing tagged with k."""
-        key, m, q = self._level(k)
-        if q is None:
-            try:
-                q = difference_mask(m)
-            except NotConstantReproducing as exc:
-                raise NotConstantReproducing(f"level {k}: {exc}", level=k) from None
-            self._levels[key] = m, q
-        return q
+        return Mask(-self.N, self._block(k, k, rules=True)[0])
 
     def to_dict(self) -> dict:
         if self.descriptor is None:
@@ -139,6 +227,17 @@ class SchemeSpec:
                 "through the catalog to attach one"
             )
         return dict(self.descriptor)
+
+
+def _widened(rows: np.ndarray, N: int) -> np.ndarray:
+    """Rows of masks or of rules that start at index -n, for n = half their
+    width, as rows from index -N >= -n, padded with +0.0."""
+    n = rows.shape[1] // 2
+    if n == N:
+        return rows
+    out = np.zeros((len(rows), rows.shape[1] + 2 * (N - n)))
+    out[:, N - n : N - n + rows.shape[1]] = rows
+    return out
 
 
 def _default_locality(mask: Mask) -> int:
@@ -221,10 +320,9 @@ def boundedness_estimate(scheme: SchemeSpec, k_range: tuple[int, int]) -> Bounde
     # every level of a stationary scheme has the same mask
     last = k_lo if scheme.kind == "stationary" else k_hi
     scheme.admit(k_lo, last, f"a boundedness estimate on levels {k_lo} to {last}")
-    coeff = op = 0.0
-    for k in range(k_lo, last + 1):
-        m = scheme.mask_at(k)
-        coeff, op = max(coeff, coeff_norm(m)), max(op, sup_norm(m))
+    rows = scheme._block(k_lo, last)
+    coeff = float(np.abs(rows).max(initial=0.0))
+    op = float(class_norms(rows, -scheme.N, 2).max(initial=0.0))
     if scheme.bound_hint is not None:
         return BoundednessReport(scheme.bound_hint, op, True, k_lo, k_hi)
     return BoundednessReport(coeff, op, False, k_lo, k_hi)
@@ -308,15 +406,11 @@ def similarity_report(
         raise InvalidParameter("similarity window must cover at least 8 levels")
     for s in (a, b):
         s.admit(k_lo, k_hi, f"a similarity report on levels {k_lo} to {k_hi}")
-    ks, diffs, psums = [], [], []
-    running = 0.0
-    for k in range(k_lo, k_hi + 1):
-        _, diff = stencil_difference(stencil(a.mask_at(k)), stencil(b.mask_at(k)))
-        d = max(map(abs, diff.tolist()), default=0.0)
-        running += d
-        ks.append(k)
-        diffs.append(d)
-        psums.append(running)
+    N = max(a.N, b.N)
+    diff = _widened(a._block(k_lo, k_hi), N) - _widened(b._block(k_lo, k_hi), N)
+    ks = list(range(k_lo, k_hi + 1))
+    diffs = np.abs(diff).max(axis=1).tolist()
+    psums = list(itertools.accumulate(diffs))
 
     count = len(ks)
     quarter = max(2, count // 4)
@@ -400,8 +494,7 @@ def _transfer(
                  f"a transfer over levels {target.k0} to {k_hi + n - 1}")
     # Constant reproduction on every target level from k0, checked before
     # similarity so the failure reported first is the binding one.
-    for k in range(target.k0, k_hi + n):
-        target.difference_mask_at(k)
+    rules = target._block(target.k0, k_hi + n - 1, rules=True)[k_lo - target.k0 :]
     sim = similarity_report(target, comparator, (k_lo, k_hi))
     if sim.similar != "yes":
         raise SimilarityNotEstablished(
@@ -409,13 +502,20 @@ def _transfer(
             f"'{sim.similar}', not 'yes'"
         )
 
-    c = next(runs([comparator.difference_mask_at(comparator.k0)] * n, n))
-    arity = 2 ** n
-    diffs = []
-    tnorms = []
-    for t in runs([target.difference_mask_at(k) for k in range(k_lo, k_hi + n)], n):
-        diffs.append(class_norm(stencil_difference(t, c), arity))
-        tnorms.append(class_norm(t, arity))
+    c_rule = comparator._block(comparator.k0, comparator.k0, rules=True)
+    if n == 1:
+        N = max(target.N, comparator.N)
+        t = _widened(rules, N)
+        diffs = class_norms(t - _widened(c_rule, N), -N, 2).tolist()
+        tnorms = class_norms(t, -N, 2).tolist()
+    else:
+        c = next(runs(row_stencils(c_rule, -comparator.N) * n, n))
+        arity = 2 ** n
+        diffs = []
+        tnorms = []
+        for t in runs(row_stencils(rules, -target.N), n):
+            diffs.append(class_norm(stencil_difference(t, c), arity))
+            tnorms.append(class_norm(t, arity))
 
     # the level after the last difference above epsilon
     k_tilde = k_lo + max((i + 1 for i, d in enumerate(diffs) if d > eps), default=0)
@@ -467,10 +567,11 @@ def transfer_condition_a(
     return _transfer(target, comparator, witness_star, k_range, mu)[0]
 
 
-def _c1_prefix(qs: Sequence[Mask]) -> tuple[float, bool]:
+def _c1_prefix(qs: Sequence[tuple[int, Sequence[float]]]) -> tuple[float, bool]:
     """C1's worst prefix norm and whether it is exact: the largest norm, and
     at least 1, of the products ``qs[:m]`` for every m, where ``qs`` holds
-    the target's difference rules in level order from its k0.
+    the stencils of the target's difference rules in level order from its
+    k0.
 
     A product of at most ``_EXACT_PRODUCT_CAP`` rules is expanded exactly.
     A longer one is bounded by submultiplicativity over chunks of that many
@@ -636,7 +737,8 @@ def certify_theorem4(
     prefix = range(target.k0, K + n - 1)
     target.admit(target.k0, K + n - 2, f"a C1 prefix over levels {target.k0} to {K + n - 2}",
                  product_bytes(target.N, min(_EXACT_PRODUCT_CAP, len(prefix))))
-    best, c1_exact = _c1_prefix([target.difference_mask_at(k) for k in prefix])
+    rules = target._block(target.k0, K + n - 2, rules=True)
+    best, c1_exact = _c1_prefix(row_stencils(rules, -target.N))
     C1 = _c1(best, mu_hat, K + n - 1)
 
     bound = boundedness_estimate(target, (transfer_meta["k_lo"], transfer_meta["k_hi"]))

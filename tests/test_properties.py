@@ -12,10 +12,21 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subdiv.errors import NotConstantReproducing
 from subdiv.masks import (
+    NOT_REPRODUCING,
+    RULE_OK,
+    TOL,
+    TRIM_TOL,
     Mask,
     class_norm,
+    class_norms,
     coeff_norm,
+    difference_mask,
+    difference_rows,
+    mask_from_difference,
+    reproduces_constants,
+    row_stencils,
     stencil,
     stencil_difference,
     sup_norm,
@@ -47,6 +58,11 @@ def cr_masks(draw) -> Mask:
 
 
 mask_lists = st.lists(cr_masks(), min_size=1, max_size=8)
+# Masks that may no longer reproduce constants: one coefficient moved, by
+# up to 1 or by up to TOL, which leaves a remainder past the trim's TRIM_TOL
+# on a mask that still reproduces constants.
+moved_masks = st.builds(lambda m, d: m + Mask(m.base, (d,)), cr_masks(),
+                        st.floats(-1.0, 1.0) | st.floats(-TOL, TOL))
 
 # Any masks: zero masks, signed zeros inside, long ones (past class_norm's
 # loop) and bases far enough apart for disjoint supports.
@@ -92,6 +108,34 @@ def loop_combine(a: Mask, b: Mask, sign: float) -> Mask:
     lo = min(a.base, b.base)
     hi = max(a.base + len(a) - 1, b.base + len(b) - 1)
     return Mask(lo, tuple(a[i] + sign * b[i] for i in range(lo, hi + 1)))
+
+
+def loop_difference_mask(m: Mask) -> Mask:
+    """The difference rule as a loop over the mask's coefficients: the
+    alternating partial sums q[i] = m[i] - q[i-1], cut at TRIM_TOL at both
+    ends and checked by reconstruction.  The reference for
+    ``difference_rows``, which must match it bit for bit."""
+    if not reproduces_constants(m):
+        raise NotConstantReproducing("no difference rule")
+    acc, out = 0.0, []
+    for c in m.coeffs[:-1]:
+        acc = c - acc
+        out.append(acc)
+    lo, hi = 0, len(out)
+    while lo < hi and abs(out[lo]) <= TRIM_TOL:
+        lo += 1
+    while hi > lo and abs(out[hi - 1]) <= TRIM_TOL:
+        hi -= 1
+    q = Mask(m.base + lo, tuple(out[lo:hi]))
+    assert all(abs(m[i] - (q[i] + q[i - 1])) <= 1e-10 for i in range(m.base, m.base + len(m)))
+    return q
+
+
+def padded(m: Mask, N: int, width: int) -> np.ndarray:
+    """The mask's coefficients as a row of ``width`` from index -N."""
+    row = np.zeros(width)
+    row[N + m.base : N + m.base + len(m)] = m.coeffs
+    return row
 
 
 def bits(m: Mask) -> tuple[int, list[str]]:
@@ -140,7 +184,7 @@ def test_product_norm_is_residue_norm_of_composition(masks):
 def test_runs_are_level_ordered_products(rules, n):
     """Entry k of runs(rules, n) is the product of rules[k : k + n] with
     rules[k] acting first: compose_all of that run in operator order."""
-    got = list(runs(rules, n))
+    got = list(runs([stencil(r) for r in rules], n))
     assert len(got) == max(len(rules) - n + 1, 0)
     for k, (base, coeffs) in enumerate(got):
         assert Mask(base, tuple(map(float, coeffs))) == compose_all(rules[k : k + n][::-1]).mask
@@ -193,3 +237,54 @@ def test_apply_of_composition_is_apply_of_apply(outer, inner, values, start):
     diff = one.span(lo, hi).values - two.span(lo, hi).values
     terms = len(outer) * len(inner)
     assert np.max(np.abs(diff)) <= terms * EPS * scale(outer, inner)
+
+
+@derandomized
+@given(st.lists(cr_masks() | moved_masks, min_size=1, max_size=8), cr_masks(),
+       st.integers(0, 2))
+def test_block_rules_are_the_scalar_rules(masks, comparator, pad):
+    """On a block of masks with mixed bases and widths, padded to a common
+    N, the block kernels give the scalar loops' floats bit for bit: each
+    row's difference rule and verdict, the class norms of rules and masks,
+    the rules' differences to a comparator's rule and the masks' largest
+    coefficient difference to the comparator, and the masks' stencils."""
+    N = pad + max(max(-m.base, m.base + len(m) - 1) for m in [*masks, comparator])
+    rows = np.array([padded(m, N, 2 * N + 1) for m in masks])
+    rules, verdicts = difference_rows(rows)
+    assert rules.shape == (len(masks), 2 * N)
+    qc = loop_difference_mask(comparator)
+    derived = []
+    for m, rule, verdict in zip(masks, rules, verdicts):
+        try:
+            q = loop_difference_mask(m)
+        except NotConstantReproducing:
+            assert verdict == NOT_REPRODUCING
+            continue
+        assert verdict == RULE_OK
+        assert rule.tobytes() == padded(q, N, 2 * N).tobytes()
+        derived.append((rule, q))
+    for arity in (2, 4):
+        assert class_norms(rows, -N, arity).tolist() == [loop_class_norm(m, arity) for m in masks]
+        for rule, q in derived:
+            assert class_norms(rule[None], -N, arity)[0] == loop_class_norm(q, arity)
+            diff = rule - padded(qc, N, 2 * N)
+            want = loop_combine(q, qc, -1.0)
+            assert class_norms(diff[None], -N, arity)[0] == loop_class_norm(want, arity)
+    largest = np.abs(rows - padded(comparator, N, 2 * N + 1)).max(axis=1)
+    assert largest.tolist() == [coeff_norm(loop_combine(m, comparator, -1.0)) for m in masks]
+    assert [bits(Mask(*s)) for s in row_stencils(rows, -N)] == list(map(bits, masks))
+
+
+@derandomized
+@given(cr_masks())
+def test_difference_round_trip(m):
+    """mask_from_difference undoes difference_mask within a few ulps of the
+    mask's scale, besides the dust of at most TRIM_TOL that the end trim
+    drops from the rule."""
+    q = difference_mask(m)
+    back = mask_from_difference(q)
+    trimmed = len(q) < len(m) - 1
+    tol = 8 * EPS * scale(m) + (TRIM_TOL if trimmed else 0.0)
+    lo = min(m.base, back.base)
+    hi = max(m.base + len(m), back.base + len(back))
+    assert all(abs(back[i] - m[i]) <= tol for i in range(lo, hi))

@@ -19,7 +19,7 @@ from subdiv.refine import (
     pl_gap,
     refine_once,
 )
-from subdiv.schemes import certify_theorem4, stationary_scheme, table_scheme
+from subdiv.schemes import SchemeSpec, certify_theorem4, stationary_scheme, table_scheme
 
 from conftest import bspline2, random_cr_mask
 
@@ -77,7 +77,7 @@ def test_cross_check_catches_rule_error_in_any_block(monkeypatch, spike):
     assert len(refine_once(st, scheme).window) >= 3 * operators._BLOCK
     q = difference_mask(scheme.mask_at(0))
     off = Mask(q.base, (q.coeffs[0] + 1e-9, *q.coeffs[1:]))
-    monkeypatch.setattr(refine, "difference_mask", lambda m: off)
+    monkeypatch.setattr(SchemeSpec, "difference_mask_at", lambda self, k: off)
     with pytest.raises(RuntimeError, match="difference rule disagrees"):
         refine_once(st, scheme)
 
@@ -94,7 +94,7 @@ def test_cross_check_tolerance_scales_with_values(monkeypatch, scale):
         st = refine_once(st, scheme)
     q = difference_mask(scheme.mask_at(st.level))
     off = Mask(q.base, (q.coeffs[0] + 1e-9, *q.coeffs[1:]))
-    monkeypatch.setattr(refine, "difference_mask", lambda m: off)
+    monkeypatch.setattr(SchemeSpec, "difference_mask_at", lambda self, k: off)
     with pytest.raises(RuntimeError, match="difference rule disagrees"):
         refine_once(st, scheme)
 

@@ -12,7 +12,7 @@ from subdiv.errors import (
     SimilarityNotEstablished,
     TailNotReached,
 )
-from subdiv.masks import Mask, coeff_norm, difference_mask
+from subdiv.masks import Mask, coeff_norm, difference_mask, difference_rows, stencil
 from subdiv.operators import compose_all, condition_a_search, product_norm, residue_class_norm
 from subdiv.schemes import (
     _EXACT_PRODUCT_CAP,
@@ -87,16 +87,16 @@ def test_boundedness_stationary_reads_one_level(monkeypatch):
     reads only its first level and reports the range as given."""
     c = catalog.chaikin()
     reads = []
-    mask_at = type(c).mask_at
+    block = type(c)._block
 
-    def counted(self, k):
-        reads.append(k)
-        assert len(reads) <= 16, "read level after level of a stationary scheme"
-        return mask_at(self, k)
+    def counted(self, lo, hi, rules=False):
+        reads.append((lo, hi))
+        assert hi - lo < 16, "read level after level of a stationary scheme"
+        return block(self, lo, hi, rules)
 
-    monkeypatch.setattr(type(c), "mask_at", counted)
+    monkeypatch.setattr(type(c), "_block", counted)
     long = boundedness_estimate(c, (1, 10**9))
-    assert reads == [1]
+    assert reads == [(1, 1)]
     short = boundedness_estimate(c, (1, 16))
     assert long.to_dict() == {**short.to_dict(), "k_hi": 10**9}
 
@@ -195,6 +195,45 @@ def test_table_account_admits_held_levels(monkeypatch):
     assert len(reads) == 600
     window = cert.meta["k_lo"], cert.meta["k_hi"]
     assert similarity_report(certified, comparator, window).similar == "yes"
+
+
+def test_similarity_late_window_reads_only_its_levels():
+    """A range that starts past the levels a scheme holds is read on its
+    own: a similarity report over levels 500000 to 500063 of a fresh
+    formula scheme builds those 64 levels, once each, and no level before
+    them."""
+    reads = []
+    report = similarity_report(reads_recorded(reads), catalog.derham_stationary(2.0),
+                               (500000, 500063))
+    assert reads == list(range(500000, 500064)) == list(report.ks)
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda s: certify_theorem4(s, catalog.chaikin()), id="certify"),
+    pytest.param(condition_a_search, id="search"),
+])
+@pytest.mark.parametrize("first, error", [
+    pytest.param("unreproducing", NotConstantReproducing, id="rule-first"),
+    pytest.param("too-wide", InvalidParameter, id="support-first"),
+])
+def test_rule_errors_come_in_level_order(read, first, error):
+    """Rules are read from k0 as one block, yet the error raised is the one
+    of the first level in level order: a level that does not reproduce
+    constants before a mask that breaks its support raises
+    NotConstantReproducing tagged with its level, and the other order
+    raises the support's InvalidParameter."""
+    chaikin = catalog.chaikin().mask_at(0)
+    broken = {
+        "unreproducing": Mask(-1, (0.3, 0.75, 0.75, 0.25)),
+        "too-wide": Mask(-2, (0.1, 0.2, 0.3, 0.3, 0.1, 0.1)),
+    }
+    second = next(name for name in broken if name != first)
+    masks = [chaikin] * 2 + [broken[first], chaikin, broken[second]] + [chaikin] * 60
+    with pytest.raises(error) as exc:
+        read(table_scheme(masks, N=2))
+    assert "level 2" in str(exc.value)
+    if error is NotConstantReproducing:
+        assert exc.value.level == 2
 
 
 def test_similarity_refuses_long_stationary_range():
@@ -488,8 +527,8 @@ def tension_scheme(w: float = 0.27, b: float = 0.2):
 
 
 def difference_rules(target, stop):
-    """The target's difference rules on levels k0 .. stop - 1."""
-    return [target.difference_mask_at(k) for k in range(target.k0, stop)]
+    """The stencils of the target's difference rules on levels k0 .. stop - 1."""
+    return [stencil(target.difference_mask_at(k)) for k in range(target.k0, stop)]
 
 
 def recomposed_c1_prefix(target, stop):
@@ -591,18 +630,19 @@ def test_certify_reads_each_target_level_once(target, comparator, k_range, monke
                             bound_hint=target.bound_hint, analytic=target.analytic)
     derived = []
 
-    def counted(m):
-        derived.append(m)
-        return difference_mask(m)
+    def counted(rows):
+        derived.extend(Mask(-(rows.shape[1] // 2), row) for row in rows)
+        return difference_rows(rows)
 
-    monkeypatch.setattr(schemes, "difference_mask", counted)
+    monkeypatch.setattr(schemes, "difference_rows", counted)
     cert = certify_theorem4(scheme, comparator, k_range=k_range)
     assert cert.K + cert.n - 1 > scheme.k0  # the C1 prefix covers some level
     condition_a_search(scheme)
     refine.decay_report(scheme, refine.impulse(8, level=scheme.k0), 12, certificate=cert)
     # every level read has its rule derived, the comparator's besides
-    levels = {id(m): k for k, m in built.items()}
-    assert sorted(levels[id(m)] for m in derived if id(m) in levels) == sorted(built)
+    levels = {m: k for k, m in built.items()}
+    assert len(levels) == len(built)  # no two levels share a mask
+    assert sorted(levels[m] for m in derived if m in levels) == sorted(built)
 
 
 def test_transfer_checks_constants_from_k0():

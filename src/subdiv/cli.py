@@ -16,9 +16,11 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -49,13 +51,16 @@ EXIT_INCONCLUSIVE = 4
 FIGURE1_ALPHAS = (2.5, 1.5, 0.5, -0.5, -1.5)
 FIGURE2_ITERATIONS = (8, 12, 16)
 
-# A refine or figure run whose estimated memory exceeds
-# operators.MEMORY_BUDGET is refused before it allocates anything (exit 3).
-# The estimate counts the windows' arrays at about 1.5 x 8 bytes a value
-# (tracemalloc: 11.4 to 12.0 for refine --levels 16), and 36 bytes a value
-# for figure --out, which also keeps traces and writes CSV strings 2**15
-# rows at a time (tracemalloc: 34.1 for figure 1 --levels 14 --out, where
-# those strings are a large share, and 15.4 for figure 2 --out).
+# A refine or figure run whose estimate exceeds operators.MEMORY_BUDGET is
+# refused before it allocates anything (exit 3).  The estimate charges
+# 12 bytes for each value the run computes at its deepest level, about
+# length * 2**(levels - level + 1) values.  So it bounds what a run
+# computes, not what it holds: refine holds a few blocks a level
+# (tracemalloc: 3.7 MB for refine --levels 20, charged 204 MiB), and
+# figure its final windows.  figure --out is charged 36 bytes a value: it
+# also keeps traces and writes CSV strings 2**15 rows at a time
+# (tracemalloc: 34.1 for figure 1 --levels 14 --out, where those strings
+# are a large share, and 15.4 for figure 2 --out).
 _ARRAY_BYTES = 12
 _ROW_BYTES = 36
 # Bytes analyze holds per listed level besides the scheme's level table:
@@ -73,6 +78,18 @@ def _parse_k_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"must look like A:B with integer levels A and B, got {text!r}"
         ) from None
+
+
+def _join_k_ranges(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--k-range`` that a negative level follows
+    joined to it with "=": argparse reads a separate "-3:4" as an option."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] == "--k-range" and re.match(r"-\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
@@ -124,6 +141,11 @@ def cmd_analyze(args) -> int:
     levels = range(k_lo, k_hi + 1) if scheme.kind != "stationary" else [scheme.k0]
     scheme.admit(levels[0], levels[-1], f"a report on levels {k_lo} to {k_hi}",
                  _REPORT_LEVEL_BYTES * len(levels))
+    # build and derive the listed levels as one block; the reads of each
+    # level below then find them held, and raise any error of this read
+    # at its own level, after listing the levels before it
+    with contextlib.suppress(Exception):
+        scheme._block(levels[0], levels[-1], rules=True)
     all_ok = True
     for k in levels:
         m = scheme.mask_at(k)
@@ -386,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_k_ranges(argv))
     args.report = {}
     try:
         code = args.func(args)

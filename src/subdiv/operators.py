@@ -150,6 +150,27 @@ def _valid_pieces(coeffs: np.ndarray, values: np.ndarray, arity: int):
         yield conv[lo - arity * first : arity * (b - first)]
 
 
+def output_span(m: Mask, start: int, stop: int, arity: int = 2) -> tuple[int, int]:
+    """The first index and the number of the values ``apply`` makes from a
+    window on the indices [start, stop); refuses what ``apply`` refuses."""
+    if m.is_zero:
+        raise InvalidParameter("cannot apply a zero mask: it has no stencil")
+    if arity < 2:
+        raise InvalidParameter("arity must be at least 2")
+    if stop <= start:
+        raise EmptyOutput("empty input window")
+    mb, mt = m.support  # type: ignore[misc]
+    out_lo = arity * start + mt - arity + 1
+    n_out = arity * (stop - 1) + mb + arity - out_lo
+    if n_out <= 0:
+        need = -(mb - mt - arity + 2) // arity + 1
+        raise EmptyOutput(
+            f"window of {stop - start} values is too short for mask support "
+            f"[{mb}, {mt}] at arity {arity}; need at least {need} values"
+        )
+    return out_lo, n_out
+
+
 def apply(m: Mask, f: Window, arity: int = 2) -> Window:
     """Apply the subdivision rule with mask ``m`` to a finite window.
 
@@ -159,23 +180,7 @@ def apply(m: Mask, f: Window, arity: int = 2) -> Window:
     fabricated.  Raises EmptyOutput when the input is too short for a single
     fully supported value.
     """
-    if m.is_zero:
-        raise InvalidParameter("cannot apply a zero mask: it has no stencil")
-    if arity < 2:
-        raise InvalidParameter("arity must be at least 2")
-    lo, hi = f.start, f.stop - 1
-    if hi < lo:
-        raise EmptyOutput("empty input window")
-    mb, mt = m.support  # type: ignore[misc]
-    out_lo = arity * lo + mt - arity + 1
-    out_hi = arity * hi + mb + arity - 1
-    n_out = out_hi - out_lo + 1
-    if n_out <= 0:
-        need = -(mb - mt - arity + 2) // arity + 1
-        raise EmptyOutput(
-            f"window of {len(f)} values is too short for mask support "
-            f"[{mb}, {mt}] at arity {arity}; need at least {need} values"
-        )
+    out_lo, n_out = output_span(m, f.start, f.stop, arity)
     coeffs = np.asarray(m.coeffs)
     if len(m) < arity:
         # Mask shorter than the arity: the extreme valid indices have an

@@ -1,47 +1,25 @@
 """Refinement engine: iterate masks on finite data, track backward
 differences, evaluate piecewise-linear interpolants, and measure the decay
-that convergence certificates promise."""
+that convergence certificates promise.
+
+A run refines all its levels in one depth-first pass.  Each level's values
+are made a block at a time from a few blocks of the level before, and the
+block's differences, interpolant gap and difference-rule cross-check are
+taken while it is fresh, so a run holds a few blocks a level, never a
+whole window but the one it returns."""
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import operators
 from .errors import InvalidParameter, NotConstantReproducing, OutOfDomain
 from .masks import TOL, Mask
-from .operators import Window, apply, block_ranges
+from .operators import Window, block_ranges, output_span
 from .schemes import ConvergenceCertificate, SchemeSpec
-
-
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-# decay_report releases the free heap before its deepest level only when
-# that level's window is at least this large: glibc's largest mmap
-# threshold on 64-bit, so the window is mmapped and cannot reuse the freed
-# heap.  For a level-12 run on a 2-vCPU VM the page faults after a release
-# cost 0.7 ms of its 4.1 ms, for less than a megabyte handed back.
-_RELEASE_BYTES = 32 * 2**20
-
-
-def _release_free_heap() -> None:
-    """Hand the free heap back to the system, where glibc's malloc_trim is
-    available.
-
-    The windows of the shallower levels live on the heap, since glibc's
-    mmap threshold rises once a larger window has been freed.  When the
-    deepest level of a level-20 run allocates, about 60 MB of them lie
-    free at the heap top, right at glibc's dynamic trim threshold: whether
-    glibc handed them back depended on incidental heap layout (even the
-    length of the path the package was imported from), and moved the peak
-    RSS between 217 and 274 MB.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +73,234 @@ def constant(value: float = 1.0, halfwidth: int = 8, level: int = 0) -> Refineme
     return RefinementState(level, Window(-halfwidth, np.full(2 * halfwidth + 1, value)))
 
 
+class _Stencil:
+    """A mask as a refinement pass convolves it.
+
+    ``convolve`` of values zero-stuffed to arity 2, the first of them at
+    index F, holds at position p the output at index p + 2 * F + base.  A
+    one-coefficient mask c is indexed as the stencil (0, c, 0) one index
+    lower, and numpy's result gets a +0.0 at either end: the outputs with
+    an empty stencil that ``apply`` puts at the ends of a window.
+    """
+
+    __slots__ = ("coeffs", "support", "base", "width", "pad")
+
+    def __init__(self, m: Mask):
+        self.coeffs = np.array(m.coeffs)
+        self.support = m.support
+        self.pad = len(m) == 1
+        self.base = m.base - self.pad
+        self.width = len(m) + 2 * self.pad
+
+    def reads(self, lo: int, hi: int) -> tuple[int, int]:
+        """The values [first, stop) whose convolution holds the outputs
+        [lo, hi) as full-stencil sums.  Clamped to the ends of the data,
+        they give there the partial sums of the whole data's convolution."""
+        return (lo - self.base - self.width + 1) // 2, (hi - self.base + 2) // 2
+
+    def convolve(self, up: np.ndarray) -> np.ndarray:
+        conv = np.convolve(up, self.coeffs)
+        return np.concatenate(([0.0], conv, [0.0])) if self.pad else conv
+
+
+class _Work:
+    """The scratch arrays the levels of a pass share, and the margins of
+    the chunks they pass on.  A level uses the arrays only within a step,
+    and no chunk lives in them.
+
+    A level leaves the last ``ahead`` values of a chunk to the next step,
+    since the outputs that read them also need values past the chunk, and
+    its chunks repeat the ``2 * back`` outputs before their new ones, so
+    the next level finds there the ``back`` values its step repeats and the
+    reach of its stencil.  Both margins follow from the locality N: every
+    mask lies in [-N, N] and every rule in [-N, N - 1].
+    """
+
+    __slots__ = ("back", "ahead", "up", "tmp")
+
+    def __init__(self, N: int, longest: int):
+        self.ahead = N + 1
+        self.back = 2 * N + 3
+        span = min(longest, operators._BLOCK // 2 + 1) + self.back + self.ahead + N + 3
+        self.up = np.zeros(2 * span)  # the odd entries stay zero
+        self.tmp = np.empty(2 * span)
+
+
+class _Level:
+    """One level k of a run: the mask that refines the level's values, on
+    the indices [lo, hi), into level k + 1's on [olo, ohi); the level's
+    difference rule, when it has one to cross-check; and the maxima taken
+    over the level so far: of its values' magnitude (sup), of the rule's
+    disagreement with the refined differences (err), of the interpolant gap
+    to level k + 1 (gap), and of level k + 1's differences (delta_next)."""
+
+    __slots__ = ("level", "lo", "hi", "olo", "ohi", "mask", "rule",
+                 "sup", "err", "gap", "delta_next")
+
+    def __init__(self, scheme: SchemeSpec, k: int, lo: int, hi: int):
+        if k < scheme.k0:
+            raise InvalidParameter(
+                f"state level {k} precedes the scheme's start {scheme.k0}"
+            )
+        m = scheme.mask_at(k)
+        self.olo, n = output_span(m, lo, hi)
+        self.level, self.lo, self.hi, self.ohi = k, lo, hi, self.olo + n
+        self.mask = _Stencil(m)
+        try:
+            q = scheme.difference_mask_at(k)
+        except NotConstantReproducing:
+            q = None  # no difference rule to cross-check
+        # a difference needs two values
+        self.rule = _Stencil(q) if q is not None and hi - lo >= 2 else None
+        self.sup = self.err = self.gap = self.delta_next = 0.0
+
+    def refine(self, chunks, work: _Work, emit: bool, gaps: bool, deltas: bool):
+        """Take level k's values as chunks and yield level k + 1's, when
+        ``emit``, while taking the level's maxima: ``gap`` when ``gaps``,
+        ``delta_next`` when ``deltas``, and ``sup`` and ``err`` when the level
+        has a rule.
+
+        A chunk is a ``(start, values)`` pair on the indices [start,
+        start + len(values)); its new values begin where the chunk before it
+        stopped, and the ones before them repeat earlier values.  Each step
+        refines the values it owns, at most ``_BLOCK // 2`` of them, into the
+        outputs they own: every output but those at the ends of a level is
+        a full-stencil sum, which numpy computes bit for bit as ``apply``
+        does, and the two ends are the partial sums of ``apply``'s first
+        and last block.  So neither the values nor the maxima depend on
+        how the levels are blocked.
+        """
+        lo, hi, olo, ohi = self.lo, self.hi, self.olo, self.ohi
+        m, q, back, ahead = self.mask, self.rule, work.back, work.ahead
+        glo, ghi = max(olo, 2 * lo), min(ohi, 2 * hi - 1)
+        if q is not None:
+            qb, qt = q.support
+            clo, chi = max(2 * lo + qt + 1, olo + 1), min(2 * hi + qb, ohi)
+
+        def own(j):
+            """The first output that value j owns, or the end of the level."""
+            return ohi if j == hi else max(2 * j + m.base, olo)
+
+        A = lo
+        for start, vals in chunks:
+            stop = start + len(vals)
+            end = hi if stop == hi else stop - ahead - 1
+            n, first = end - A, A
+            if n <= 0:
+                continue
+            steps = -(-n // max(operators._BLOCK // 2, 1))
+            for s in range(1, steps + 1):
+                B = first + n * s // steps
+                A0, B1 = max(A - back, lo), min(B + ahead, hi)
+                P0, P, R, R1 = own(A0), own(A), own(B), own(B1)
+                F, G = m.reads(P0, R1)
+                F, G = max(F, lo), min(G, hi)
+                if F < start:  # the margins of _Work rule this out
+                    raise RuntimeError(
+                        f"level {self.level}: a chunk from index {start} lacks value {F}"
+                    )
+                v = vals[F - start : G - start]
+                up = work.up[: 2 * len(v) - 1]
+                up[::2] = v
+                conv = m.convolve(up)
+                out = conv[P0 - 2 * F - m.base : R1 - 2 * F - m.base]  # outputs [P0, R1)
+                if q is not None:
+                    own_v = v[A - F : B - F]
+                    self.sup = np.maximum(self.sup, max(own_v.max(), -own_v.min()))
+                D = max(P, olo + 1)
+                if D < R and (q is not None or deltas):
+                    # level k + 1's differences on [D, R)
+                    d = np.subtract(out[D - P0 : R - P0], out[D - 1 - P0 : R - 1 - P0],
+                                    out=work.tmp[: R - D])
+                    if q is not None:
+                        i0, i1 = max(D, clo), min(R, chi)
+                        if i0 < i1:
+                            self.err = np.maximum(self.err, self._disagreement(
+                                v, F, d[i0 - D : i1 - D], i0, i1, work.up))
+                    if deltas:
+                        self.delta_next = np.maximum(self.delta_next, np.abs(d, out=d).max())
+                g0, g1 = max(P, glo), min(R, ghi)
+                if gaps and g0 < g1:
+                    self.gap = np.maximum(self.gap, _span_gap(v, F, out, P0, g0, g1, work.tmp))
+                if emit:
+                    yield P0, out[: R - P0]
+                A = B
+
+    def _disagreement(self, v: np.ndarray, F: int, new: np.ndarray, i0: int, i1: int,
+                      up: np.ndarray):
+        """The largest distance over the indices [i0, i1) between level k + 1's
+        differences ``new`` and the rule applied to level k's, whose values
+        ``v`` from index F cover them."""
+        q = self.rule
+        j0, j1 = q.reads(i0, i1)
+        j0, j1 = max(j0, self.lo + 1), min(j1, self.hi)
+        u = up[: 2 * (j1 - j0) - 1]
+        np.subtract(v[j0 - F : j1 - F], v[j0 - 1 - F : j1 - 1 - F], out=u[::2])
+        dev = q.convolve(u)[i0 - 2 * j0 - q.base : i1 - 2 * j0 - q.base]
+        dev -= new
+        return np.abs(dev, out=dev).max()
+
+    def check(self) -> None:
+        """Raise when level k + 1's differences disagree with the level's
+        difference rule applied to its own: by TOL, times the largest value
+        once that exceeds 1.  A non-finite disagreement is refused, not
+        passed."""
+        if self.rule is None:
+            return
+        err = _finite(float(self.err), "difference-rule error", self.level)
+        if err > TOL and err > TOL * float(self.sup):
+            raise RuntimeError(
+                f"difference rule disagrees with refined differences "
+                f"by {err!r} at level {self.level}"
+            )
+
+
+def _levels(scheme: SchemeSpec, initial: RefinementState, depth: int):
+    """The levels that refine ``initial`` to level ``depth``, and the error
+    that stopped setting them up early, if one did.  A caller raises that
+    error only once the levels before it pass their checks, in the order a
+    run that refined one level at a time would meet them."""
+    levels, lo, hi = [], initial.window.start, initial.window.stop
+    for k in range(initial.level, depth):
+        try:
+            level = _Level(scheme, k, lo, hi)
+        except Exception as exc:  # any error of mask_fn too, in its level's turn
+            return levels, exc
+        levels.append(level)
+        lo, hi = level.olo, level.ohi
+    return levels, None
+
+
+def _refine(scheme: SchemeSpec, initial: RefinementState, levels: list,
+            keep: bool = False, gaps: bool = False, deltas: int = 0) -> Window | None:
+    """Refine ``initial`` through ``levels`` in one depth-first pass.  The
+    first ``deltas`` levels take their ``delta_next``; with ``keep``, the
+    values of the last level's refinement are returned as one window."""
+    if not levels:
+        return None
+    work = _Work(scheme.N, max(level.hi - level.lo for level in levels))
+    chunks = iter([(initial.window.start, initial.window.values)])
+    last = len(levels) - 1
+    for i, level in enumerate(levels):
+        chunks = level.refine(chunks, work, keep or i < last, gaps, i < deltas)
+    if not keep:
+        for _ in chunks:
+            pass
+        return None
+    lo, hi = levels[-1].olo, levels[-1].ohi
+    values, seen = None, lo
+    for start, vals in chunks:
+        stop = start + len(vals)
+        if values is None and start == lo and stop == hi:
+            values = vals  # the level came as one chunk
+        else:
+            if values is None:
+                values = np.empty(hi - lo)
+            values[seen - lo : stop - lo] = vals[seen - start :]
+        seen = stop
+    return Window._adopt(lo, values)
+
+
 def refine_once(state: RefinementState, scheme: SchemeSpec) -> RefinementState:
     """One refinement step: apply the level mask, move to the finer grid.
 
@@ -103,18 +309,13 @@ def refine_once(state: RefinementState, scheme: SchemeSpec) -> RefinementState:
     the scheme's level table, applied to the old differences; disagreement
     indicates an indexing bug and raises RuntimeError.
     """
-    if state.level < scheme.k0:
-        raise InvalidParameter(
-            f"state level {state.level} precedes the scheme's start {scheme.k0}"
-        )
-    new_window = apply(scheme.mask_at(state.level), state.window)
-    try:
-        q = scheme.difference_mask_at(state.level)
-    except NotConstantReproducing:
-        q = None  # no difference rule to cross-check
-    if q is not None:
-        _check_difference_rule(q, state, new_window)
-    return RefinementState(state.level + 1, new_window)
+    levels, failure = _levels(scheme, state, state.level + 1)
+    if failure is not None:
+        raise failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        window = _refine(scheme, state, levels, keep=True)
+    levels[0].check()
+    return RefinementState(state.level + 1, window)
 
 
 def _finite(value: float, what: str, level: int) -> float:
@@ -125,34 +326,6 @@ def _finite(value: float, what: str, level: int) -> float:
             "or inf, or overflowed"
         )
     return value
-
-
-def _check_difference_rule(q: Mask, state: RefinementState, new: Window) -> None:
-    """Compare ``apply(q, old differences)`` with the new differences at
-    every index where both are defined, one block of indices at a time.
-    They may differ by TOL, times the largest old value once that exceeds
-    1; a non-finite difference is refused, not passed."""
-    old = state.window
-    if len(old) < 2:
-        return
-    mb, mt = q.support  # type: ignore[misc]
-    # apply's valid range for the old differences, which sit on
-    # [old.start + 1, old.stop - 1]; the new ones start at new.start + 1.
-    lo = max(2 * old.start + mt + 1, new.start + 1)
-    hi = min(2 * old.stop + mb, new.stop)
-    err = 0.0
-    for a, b in block_ranges(lo, hi):
-        # the old differences j0..j1 are those whose stencil reaches [a, b)
-        j0, j1 = (a - mt + 1) // 2, (b - 1 - mb) // 2
-        via = apply(q, old.span(j0 - 1, j1 + 1).diff())
-        dev = via.span(a, b).values - new.span(a - 1, b).diff().values
-        err = np.maximum(err, np.abs(dev, out=dev).max())
-    err = _finite(float(err), "difference-rule error", state.level)
-    if err > TOL and err > TOL * old.sup():
-        raise RuntimeError(
-            f"difference rule disagrees with refined differences "
-            f"by {err!r} at level {state.level}"
-        )
 
 
 def pl_eval(f: RefinementState, x: float) -> float:
@@ -182,24 +355,28 @@ def pl_gap(coarse: Window, fine: Window) -> float:
     """
     lo = max(fine.start, 2 * coarse.start)
     hi = min(fine.stop, 2 * coarse.stop - 1)
-    gap = 0.0
+    gap, tmp = 0.0, np.empty(min(max(hi - lo, 0), operators._BLOCK) // 2 + 1)
     for a, b in block_ranges(lo, hi):
-        gap = np.maximum(gap, _span_gap(coarse, fine, a, b - 1))
+        gap = np.maximum(
+            gap, _span_gap(coarse.values, coarse.start, fine.values, fine.start, a, b, tmp)
+        )
     return float(gap)
 
 
-def _span_gap(coarse: Window, fine: Window, lo: int, hi: int) -> float:
-    """``pl_gap`` over the fine indices lo..hi, which both windows cover."""
-    c, stop = coarse.values, hi - fine.start + 1
+def _span_gap(c: np.ndarray, c0: int, f: np.ndarray, f0: int, lo: int, hi: int,
+              tmp: np.ndarray):
+    """``pl_gap`` over the fine indices [lo, hi), for coarse values ``c``
+    from index c0 and fine values ``f`` from f0 that cover them; ``tmp``
+    holds at least (hi - lo + 1) // 2 values."""
     # fine index 2j against coarse point j
-    fv = fine.values[lo + lo % 2 - fine.start : stop : 2]
-    j = (lo + 1) // 2 - coarse.start
-    dev = c[j : j + len(fv)] - fv
+    fv = f[lo + lo % 2 - f0 : hi - f0 : 2]
+    j = (lo + 1) // 2 - c0
+    dev = np.subtract(c[j : j + len(fv)], fv, out=tmp[: len(fv)])
     gap = np.abs(dev, out=dev).max(initial=0.0)
     # fine index 2j+1 against the midpoint of coarse points j and j+1
-    fv = fine.values[lo + 1 - lo % 2 - fine.start : stop : 2]
-    j = lo // 2 - coarse.start
-    dev = c[j : j + len(fv)] + c[j + 1 : j + 1 + len(fv)]
+    fv = f[lo + 1 - lo % 2 - f0 : hi - f0 : 2]
+    j = lo // 2 - c0
+    dev = np.add(c[j : j + len(fv)], c[j + 1 : j + 1 + len(fv)], out=tmp[: len(fv)])
     dev *= 0.5
     dev -= fv
     return np.maximum(gap, np.abs(dev, out=dev).max(initial=0.0))
@@ -290,31 +467,33 @@ def decay_report(
     if k_max < initial.level + 4:
         raise InvalidParameter("k_max must allow at least 4 levels")
     _check_certified_start(scheme, initial, certificate)
-    # ks is built after the loop: refine_once first refuses a level below
-    # the scheme's start, which would otherwise size a tuple of any length.
-    levels = range(initial.level, k_max + 1)
-    delta_list, gap_list = [], []
-    s = initial
+    levels, failure = _levels(scheme, initial, k_max + 1)
     # every norm and gap is checked to be finite, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in levels:
-            delta_list.append(_finite(s.delta_sup(), "difference norm", s.level))
-            if s.level == k_max and s.window.values.nbytes >= _RELEASE_BYTES:
-                # once a run: each release costs page faults when the heap
-                # grows again
-                _release_free_heap()
-            nxt = refine_once(s, scheme)
-            gap_list.append(_finite(pl_gap(s.window, nxt.window), "interpolant gap", s.level))
-            s = nxt
-    ks = tuple(levels)
-    delta_norms, cauchy_norms = tuple(delta_list), tuple(gap_list)
+        d0 = initial.delta_sup()
+        # the deepest level's delta_next is a norm of level k_max + 1, which
+        # is not reported, unless set-up stopped short of it
+        _refine(scheme, initial, levels, gaps=True,
+                deltas=len(levels) - (failure is None))
+    delta_list = [d0] + [float(level.delta_next) for level in levels]
+    for level, delta in zip(levels, delta_list):
+        _finite(delta, "difference norm", level.level)
+        level.check()
+        _finite(float(level.gap), "interpolant gap", level.level)
+    if failure is not None:
+        _finite(delta_list[-1], "difference norm", initial.level + len(levels))
+        raise failure
+    # ks is built only now: a run that starts below the scheme's start,
+    # refused above, would otherwise size a tuple of any length.
+    ks = tuple(range(initial.level, k_max + 1))
+    delta_norms = tuple(delta_list[: len(ks)])
+    cauchy_norms = tuple(float(level.gap) for level in levels)
     rho = _fit_rate(ks, cauchy_norms)
     rho_delta = _fit_rate(ks, delta_norms)
 
     delta_bounds = cauchy_bounds = None
     bounds_hold = None
     if certificate is not None:
-        d0 = initial.delta_sup()
         delta_bounds = tuple(
             certificate.C1 * certificate.mu_hat ** k * d0 for k in ks
         )
@@ -360,14 +539,19 @@ def limit_sample(
     if depth < max(1, initial.level + 1):
         raise InvalidParameter("depth must exceed the starting level")
     _check_certified_start(scheme, initial, certificate)
-    d0 = initial.delta_sup()
-    s = initial
-    while s.level < depth:
-        s = refine_once(s, scheme)
+    levels, failure = _levels(scheme, initial, depth)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0 = initial.delta_sup()
+        window = _refine(scheme, initial, levels, keep=failure is None)
+    for level in levels:
+        level.check()
+    if failure is not None:
+        raise failure
     bound = None
     if certificate is not None:
         bound = certificate.C * certificate.mu_hat ** depth * d0
+    final = RefinementState(depth, window)
     return LimitSample(
-        level=depth, xs=s.xs(), values=s.window.values,
+        level=depth, xs=final.xs(), values=window.values,
         error_bound=bound,
     )

@@ -138,6 +138,8 @@ class SchemeSpec:
     descriptor: dict | None = None
     # the level table, from k0; a stationary scheme holds its one level
     _table: _LevelTable = field(init=False, repr=False)
+    # the table of the latest range read past the levels _table holds
+    _window: _LevelTable | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_table", _LevelTable(self.k0))
@@ -148,12 +150,13 @@ class SchemeSpec:
 
         A level's mask is built on its first read and its rule derived on
         the first read of rules, both then held in the level table.  A range
-        that starts past the levels held is read into a table of its own,
-        for this call only, so the levels between are never built.  A
-        reading of rules raises for the first level of the range, in level
-        order, whose mask cannot be built or has no rule; a level that does
-        not reproduce constants raises NotConstantReproducing tagged with
-        its level."""
+        that starts past the levels held is read into a window table of its
+        own, so the levels between are never built; the scheme holds the
+        latest window, and a range that starts inside it or right after it
+        reads on from it.  A reading of rules raises for the first level of
+        the range, in level order, whose mask cannot be built or has no
+        rule; a level that does not reproduce constants raises
+        NotConstantReproducing tagged with its level."""
         if hi < lo:
             return np.zeros((0, 2 * self.N + (not rules)))
         for k in (lo, hi):
@@ -170,7 +173,10 @@ class SchemeSpec:
             first = last = 0
         else:
             if lo > table.start + table.built:
-                table = _LevelTable(lo)
+                table = self._window
+                if table is None or not table.start <= lo <= table.start + table.built:
+                    table = _LevelTable(lo)
+                    object.__setattr__(self, "_window", table)
             first, last = lo - table.start, hi - table.start
         if not rules:
             table.build(self, last)
@@ -196,11 +202,14 @@ class SchemeSpec:
 
     def admit(self, lo: int, hi: int, request: str, transient: int = 0) -> int:
         """The bytes charged for reading levels lo to hi: one entry a level
-        of the range and a level held outside it, plus ``transient``.
-        Refuses ``request`` when they exceed the memory budget."""
-        t = self._table
-        inside = min(hi, t.start + t.built - 1) - max(lo, t.start) + 1
-        held = t.built - max(inside, 0)
+        of the range and a level held outside it, in the level table or the
+        window, plus ``transient``.  Refuses ``request`` when they exceed
+        the memory budget."""
+        held = 0
+        for t in (self._table, self._window):
+            if t is not None:
+                inside = min(hi, t.start + t.built - 1) - max(lo, t.start) + 1
+                held += t.built - max(inside, 0)
         return check_budget(_ENTRY_BYTES * (held + hi - lo + 1) + transient, request)
 
     def clamp(self, k_lo: int, k_hi: int) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import json
 import math
@@ -64,10 +65,50 @@ def test_analyze_k_range_clamped(tmp_path, capsys):
     listed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("level ")]
     assert listed == [f"level {k}" for k in range(1, 17)]
-    # a negative start is written with "=", else argparse takes it for an option
+    # a negative start is clamped too
     assert run(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--k-range=-3:4",
                 "--out", str(out)]) == 0
     assert sorted(map(int, json.loads(out.read_text())["levels"])) == list(range(1, 5))
+
+
+def test_analyze_builds_each_late_level_once(monkeypatch, tmp_path, capsys):
+    """A late window is read as one block, which the listing, the report's
+    rules and the boundedness estimate all read from: each listed level's
+    mask is built once, where reading level by level built each three
+    times."""
+    built = collections.Counter()
+    build = schemes._LevelTable.build
+
+    def counted(table, scheme, last):
+        built.update(range(table.start + table.built, table.start + last + 1))
+        return build(table, scheme, last)
+
+    monkeypatch.setattr(schemes._LevelTable, "build", counted)
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--scheme", "derham:gamma=2,alpha=1.5",
+                "--k-range", "500000:500063", "--out", str(out)]) == 0
+    assert {k: n for k, n in built.items() if k >= 500000} == dict.fromkeys(range(500000, 500064), 1)
+    assert sorted(map(int, json.loads(out.read_text())["levels"])) == list(range(500000, 500064))
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--scheme", "derham:gamma=2,alpha=1.5"],
+    ["compare", "--scheme", "derham:gamma=2,alpha=1.5", "--comparator", "derham_stationary:gamma=2"],
+    ["certify", "--scheme", "derham:gamma=2,alpha=1.5", "--comparator", "derham_stationary:gamma=2"],
+], ids=["analyze", "compare", "certify"])
+def test_negative_k_range_start_in_either_form(tmp_path, capsys, command):
+    """``--k-range -3:4`` reads as ``--k-range=-3:4``, which argparse alone
+    would take for an unknown option and exit 2."""
+    results = []
+    for form in (["--k-range", "-3:40"], ["--k-range=-3:40"]):
+        out = tmp_path / "out"
+        code = run([*command, *form, "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+        results.append((code, capsys.readouterr(), files))
+        for p in tmp_path.iterdir():
+            p.unlink()
+    assert results[0] == results[1]
+    assert results[0][0] == 0
 
 
 def test_analyze_json_report(tmp_path, capsys):

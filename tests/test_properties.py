@@ -8,11 +8,15 @@ same examples every time.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdiv.errors import NotConstantReproducing
+from subdiv import operators
+from subdiv.errors import InvalidParameter, NotConstantReproducing
 from subdiv.masks import (
     NOT_REPRODUCING,
     RULE_OK,
@@ -42,6 +46,8 @@ from subdiv.operators import (
     residue_class_norm,
     runs,
 )
+from subdiv.refine import RefinementState, _finite, decay_report
+from subdiv.schemes import table_scheme
 
 derandomized = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -288,3 +294,99 @@ def test_difference_round_trip(m):
     lo = min(m.base, back.base)
     hi = max(m.base + len(m), back.base + len(back))
     assert all(abs(back[i] - m[i]) <= tol for i in range(lo, hi))
+
+
+def loop_decay_report(scheme, initial, k_max, certificate=None):
+    """decay_report as the loop over whole windows that it was before its
+    one depth-first pass: at each level the difference norm, the refined
+    window from ``apply``, the difference-rule cross-check over every index
+    both differences cover, and the gap to the refined window over every
+    fine index of the common span, each checked to be finite.  Returns the
+    norms, gaps and certified bounds, or the error and message raised."""
+    deltas, gaps = [], []
+    w = initial.window
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(initial.level, k_max + 1):
+                v = w.values
+                deltas.append(_finite(float(np.abs(np.diff(v)).max(initial=0.0)),
+                                      "difference norm", k))
+                if k < scheme.k0:
+                    raise InvalidParameter(
+                        f"state level {k} precedes the scheme's start {scheme.k0}")
+                new = apply(scheme.mask_at(k), w)
+                try:
+                    q = scheme.difference_mask_at(k)
+                except NotConstantReproducing:
+                    q = None
+                if q is not None and len(w) >= 2:
+                    qb, qt = q.support
+                    lo = max(2 * w.start + qt + 1, new.start + 1)
+                    hi = min(2 * w.stop + qb, new.stop)
+                    err = 0.0
+                    if lo < hi:
+                        via = apply(q, w.diff())
+                        dev = (via.values[lo - via.start : hi - via.start]
+                               - np.diff(new.values)[lo - new.start - 1 : hi - new.start - 1])
+                        err = float(np.abs(dev).max())
+                    err = _finite(err, "difference-rule error", k)
+                    if err > TOL and err > TOL * w.sup():
+                        raise RuntimeError(
+                            f"difference rule disagrees with refined differences "
+                            f"by {err!r} at level {k}")
+                # fine index i against the coarse interpolant at i / 2
+                i = np.arange(max(new.start, 2 * w.start), min(new.stop, 2 * w.stop - 1))
+                j = i // 2 - w.start
+                fine = new.values[i - new.start]
+                even = v[j] - fine
+                odd = (v[j] + v[np.minimum(j + 1, len(v) - 1)]) * 0.5 - fine
+                gap = np.abs(np.where(i % 2 == 0, even, odd)).max(initial=0.0)
+                gaps.append(_finite(float(gap), "interpolant gap", k))
+                w = new
+    except Exception as exc:
+        return type(exc), str(exc)
+    ks = range(initial.level, k_max + 1)
+    d0 = deltas[0]
+    bounds = None
+    if certificate is not None:
+        bounds = (tuple(certificate.C1 * certificate.mu_hat ** k * d0 for k in ks),
+                  tuple(certificate.Gamma * certificate.mu_hat ** k * d0 for k in ks))
+    return tuple(deltas), tuple(gaps), bounds
+
+
+def pipeline_outcome(scheme, initial, k_max, certificate=None):
+    try:
+        rep = decay_report(scheme, initial, k_max, certificate=certificate)
+    except Exception as exc:
+        return type(exc), str(exc)
+    bounds = None if certificate is None else (rep.delta_bounds, rep.cauchy_bounds)
+    return rep.delta_norms, rep.cauchy_norms, bounds
+
+
+# Masks of every length from 1 to 5, most reproducing constants and some
+# moved off it; data heavy in zeros, and runs that start at levels above 0.
+run_masks = (cr_masks() | moved_masks
+             | st.builds(lambda b, c: Mask(b, (c,)), st.integers(-2, 2), st.floats(-2.0, 2.0)))
+run_values = st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.just(0.0) | st.floats(-1.0, 1.0), min_size=n, max_size=n))
+
+
+@settings(derandomized, max_examples=120)
+@given(st.integers(0, 3), st.integers(4, 6), st.data())
+def test_decay_pipeline_is_whole_window_loop(k0, levels, data):
+    """decay_report's one depth-first pass, with blocks of 16 values so that
+    every level spans many, gives the loop's norms, gaps and bounds bit for
+    bit, or raises its error with its message."""
+    masks = data.draw(st.lists(run_masks, min_size=levels + 1, max_size=levels + 1))
+    start = data.draw(st.integers(-20, 20))
+    values = data.draw(run_values)
+    cert = data.draw(st.none() | st.builds(
+        lambda c1, mu, gamma: SimpleNamespace(C1=c1, mu_hat=mu, Gamma=gamma),
+        st.floats(0.5, 4.0), st.floats(0.1, 0.99), st.floats(0.5, 4.0)))
+    N = max([max(-m.base, m.base + len(m) - 1) for m in masks if not m.is_zero] + [1])
+    initial = RefinementState(k0, Window(start, values))
+    want = loop_decay_report(table_scheme(masks, k0=k0, N=N), initial, k0 + levels, cert)
+    with mock.patch.object(operators, "_BLOCK", 16):
+        # a fresh scheme, so its level table is read as the pass reads it
+        got = pipeline_outcome(table_scheme(masks, k0=k0, N=N), initial, k0 + levels, cert)
+    assert got == want

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subdiv import catalog, operators, refine
+from subdiv import catalog, operators
 from subdiv.errors import EmptyOutput, InvalidParameter, OutOfDomain
 from subdiv.masks import LINEAR_BSPLINE, Mask, difference_mask
 from subdiv.operators import Window, apply
@@ -19,7 +19,9 @@ from subdiv.refine import (
     pl_gap,
     refine_once,
 )
-from subdiv.schemes import SchemeSpec, certify_theorem4, stationary_scheme, table_scheme
+from subdiv.schemes import (
+    SchemeSpec, certify_theorem4, formula_scheme, stationary_scheme, table_scheme,
+)
 
 from conftest import bspline2, random_cr_mask
 
@@ -231,36 +233,28 @@ def test_decay_report_bounds_with_certificate():
     assert rows[0][0] == 0 and rows[0][3] == rep.cauchy_bounds[0]
 
 
-def test_decay_report_peak_memory():
-    """Only the current and next window are held, and every pass over them
-    runs in blocks: the tracemalloc peak stays within 2.5 final-window sizes
-    (holding every level took 10, and whole-window passes 5)."""
-    scheme = catalog.derham_nonstationary(2.2, alpha=1.5)
-    final = limit_sample(scheme, impulse(8, level=1), 15).values
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        decay_report(scheme, impulse(8, level=1), 14)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * final.nbytes
 
 
-def test_decay_report_releases_heap_once_before_deepest_level(monkeypatch):
-    """The free heap is handed back once a run, right before the deepest
-    level, and only when that level's window is large: releasing it at
-    every level made refine_deep's ops 17-29% slower from page faults."""
-    levels = []
-    real = refine.refine_once
-    monkeypatch.setattr(refine, "_release_free_heap", lambda: levels.append("release"))
-    monkeypatch.setattr(refine, "refine_once",
-                        lambda s, scheme: levels.append(s.level) or real(s, scheme))
-    decay_report(catalog.chaikin(), impulse(8), 8)
-    assert levels == [0, 1, 2, 3, 4, 5, 6, 7, 8]  # a small run keeps its heap
-    levels.clear()
-    monkeypatch.setattr(refine, "_RELEASE_BYTES", 0)
-    decay_report(catalog.chaikin(), impulse(8), 8)
-    assert levels == [0, 1, 2, 3, 4, 5, 6, 7, "release", 8]
+def test_decay_report_peak_memory():
+    """A run holds a few blocks a level, never a whole window, so its
+    tracemalloc peak does not grow with the windows: under 8 MB at level 18,
+    where the level-19 window of the last gap alone would take 30 MB, and
+    within 2 MB of the peak at level 14.  Holding the current and the next
+    window took 46.5 MB at level 18."""
+    scheme = catalog.derham_nonstationary(2.2, alpha=1.5)
+    peaks = {
+        k: _traced_peak(lambda: decay_report(scheme, impulse(8, level=1), k))
+        for k in (14, 18)
+    }
+    assert peaks[18] < 8 * 2**20
+    assert peaks[18] - peaks[14] < 2 * 2**20
 
 
 def test_decay_report_needs_levels():
@@ -318,3 +312,98 @@ def test_certified_bound_dominance_nonstationary():
     cert = certify_theorem4(t, catalog.chaikin())
     rep = decay_report(t, impulse(8, level=1), 16, certificate=cert)
     assert rep.bounds_hold
+
+
+DERHAM = catalog.derham_nonstationary(2.0, alpha=1.5)
+
+
+def _derham_with(level: int, nan: bool = False) -> SchemeSpec:
+    """derham(2, 1.5) with a NaN coefficient in its mask at ``level``, or
+    with a mask_fn that raises from ``level`` on."""
+    def mask(k):
+        m = DERHAM.mask_fn(k)
+        if k < level:
+            return m
+        if not nan:
+            raise ValueError(f"no mask at level {k}")
+        if k > level:
+            return m
+        return Mask(m.base, (m.coeffs[0], math.nan, *m.coeffs[2:]))
+    return formula_scheme(mask, k0=1, N=2)
+
+
+def _rule_off_at(level: int):
+    """difference_mask_at, with the rule of ``level`` off by 1e-9 in its
+    first coefficient."""
+    real = SchemeSpec.difference_mask_at
+
+    def read(self, k):
+        q = real(self, k)
+        return Mask(q.base, (q.coeffs[0] + 1e-9, *q.coeffs[1:])) if k == level else q
+    return read
+
+
+NAN_DATA = Window(-8, [0.0] * 8 + [math.nan] + [0.0] * 8)
+BIG_DATA = Window(-20, np.random.default_rng(7).uniform(-1e8, 1e8, 41))
+NOT_FINITE = ": the data hold NaN or inf, or overflowed"
+
+
+@pytest.mark.parametrize("block", [2**15, 16])
+@pytest.mark.parametrize(
+    "run, error, message",
+    [
+        (lambda: decay_report(DERHAM, RefinementState(3, NAN_DATA), 10),
+         InvalidParameter, "the difference norm at level 3 is nan" + NOT_FINITE),
+        (lambda: decay_report(_derham_with(5, nan=True), impulse(8, level=1), 10),
+         InvalidParameter, "the interpolant gap at level 5 is nan" + NOT_FINITE),
+        (lambda: limit_sample(_derham_with(5, nan=True), impulse(8, level=1), 10),
+         InvalidParameter, "the difference-rule error at level 6 is nan" + NOT_FINITE),
+        (lambda: decay_report(
+            formula_scheme(lambda k: Mask(-1, (1e308,) * 3 if k == 4 else (0.5, 1.0, 0.5)),
+                           k0=1, N=1),
+            impulse(8, level=1), 10),
+         InvalidParameter, "the interpolant gap at level 4 is inf" + NOT_FINITE),
+        (lambda: decay_report(_derham_with(6), impulse(8, level=1), 10),
+         ValueError, "no mask at level 6"),
+        (lambda: limit_sample(_derham_with(6), impulse(8, level=1), 10),
+         ValueError, "no mask at level 6"),
+        (lambda: decay_report(_derham_with(6), RefinementState(1, NAN_DATA), 10),
+         InvalidParameter, "the difference norm at level 1 is nan" + NOT_FINITE),
+        (lambda: decay_report(catalog.perturbed_chaikin(), impulse(8, level=0), 6),
+         InvalidParameter, "state level 0 precedes the scheme's start 1"),
+    ],
+    ids=["nan-data", "nan-mask", "nan-mask-sample", "overflow", "mask-fn",
+         "mask-fn-sample", "nan-before-mask-fn", "below-start"],
+)
+def test_errors_come_in_level_order(monkeypatch, block, run, error, message):
+    """A run raises the error a level-by-level run meets first, at its
+    level, with its message, however the levels are blocked: the errors of
+    every level a run sets up, or that its data or masks cause, wait until
+    the levels before them pass their checks."""
+    monkeypatch.setattr(operators, "_BLOCK", block)
+    with pytest.raises(error) as info:
+        run()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("block", [2**15, 16])
+@pytest.mark.parametrize(
+    "run, err",
+    [
+        (lambda: decay_report(DERHAM, impulse(8, level=1), 14), "3.146372745677084e-11"),
+        (lambda: limit_sample(DERHAM, impulse(8, level=1), 14), "3.146372745677084e-11"),
+        (lambda: decay_report(catalog.derham_nonstationary(2.3, alpha=1.1),
+                              RefinementState(1, BIG_DATA), 12), "0.006381551269441843"),
+    ],
+    ids=["decay", "sample", "large-data"],
+)
+def test_wrong_rule_is_caught_at_its_level(monkeypatch, block, run, err):
+    """A difference rule off by 1e-9 at level 7 raises there, with the
+    largest disagreement over the level's every index."""
+    monkeypatch.setattr(operators, "_BLOCK", block)
+    monkeypatch.setattr(SchemeSpec, "difference_mask_at", _rule_off_at(7))
+    with pytest.raises(RuntimeError) as info:
+        run()
+    assert str(info.value) == (
+        f"difference rule disagrees with refined differences by {err} at level 7"
+    )

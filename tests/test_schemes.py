@@ -208,6 +208,20 @@ def test_similarity_late_window_reads_only_its_levels():
     assert reads == list(range(500000, 500064)) == list(report.ks)
 
 
+def test_late_window_is_held_and_charged():
+    """The latest window a scheme reads past its level table stays with it:
+    a later read inside it or right after it builds only the levels it
+    lacks, and each read is charged the window's levels outside its range."""
+    reads = []
+    scheme = reads_recorded(reads)
+    similarity_report(scheme, catalog.derham_stationary(2.0), (500000, 500063))
+    boundedness_estimate(scheme, (500010, 500099))
+    assert reads == list(range(500000, 500100))
+    assert scheme.admit(1, 1, "level 1") == schemes._ENTRY_BYTES * (100 + 1)
+    assert scheme.admit(500050, 500149, "levels past the window") == (
+        schemes._ENTRY_BYTES * (50 + 100))
+
+
 @pytest.mark.parametrize("read", [
     pytest.param(lambda s: certify_theorem4(s, catalog.chaikin()), id="certify"),
     pytest.param(condition_a_search, id="search"),

@@ -149,12 +149,18 @@ _SHORT_STENCIL = 32
 
 def class_norm(stencil: tuple[int, Sequence[float]], arity: int) -> float:
     """Max over residue classes mod ``arity`` of the absolute coefficient
-    sums of a stencil.  The loop and ``np.bincount`` both add the weights
-    of a class in index order, so they give the same sums bit for bit."""
+    sums of a stencil.  A long stencil's weights sit from offset
+    ``base % arity`` in rows of ``arity`` columns, one column a class, and
+    a column sum adds its rows in order; so the loop and the column sums
+    both add the weights of a class in index order, and the +0.0 that pads
+    the rows adds nothing: they give the same sums bit for bit."""
     base, coeffs = stencil
     if len(coeffs) > _SHORT_STENCIL:
-        classes = np.arange(base, base + len(coeffs)) % arity
-        return float(np.bincount(classes, np.abs(coeffs)).max())
+        offset = base % arity
+        stop = offset + len(coeffs)
+        weights = np.zeros(-(-stop // arity) * arity)
+        np.abs(coeffs, out=weights[offset:stop])
+        return float(weights.reshape(-1, arity).sum(axis=0).max())
     sums = [0.0] * arity
     for p, c in enumerate(_floats(coeffs), base):
         sums[p % arity] += abs(c)

@@ -583,17 +583,19 @@ def _c1_prefix(qs: Sequence[tuple[int, Sequence[float]]]) -> tuple[float, bool]:
     k0.
 
     A product of at most ``_EXACT_PRODUCT_CAP`` rules is expanded exactly.
-    A longer one is bounded by submultiplicativity over chunks of that many
-    levels, counted from its newest level: the oldest chunk is a shorter
-    exact prefix, and every other one is the run of levels ending at its
-    newest level.  So ``chunk[t]``, the norm of the run of up to the cap
-    ending at level k0 + t, is composed once and shared by every product
-    that uses it.
+    A longer one is bounded by submultiplicativity over blocks of that many
+    levels aligned at k0: the product of the norms of the full blocks before
+    it times the exact norm of its partial block.  A block's partial
+    products are taken by extension, so each level costs one composition
+    and one block's product is held at a time.
     """
     cap = _EXACT_PRODUCT_CAP
-    chunk = [class_norm(p, 2**j) for j, p in enumerate(products(qs[:cap]), 1)]
-    chunk += [class_norm(p, 2**cap) for p in runs(qs[1:], cap)]
-    best = max([1.0, *(math.prod(chunk[t::-cap]) for t in range(len(qs)))])
+    best = before = 1.0
+    for a in range(0, len(qs), cap):
+        for j, p in enumerate(products(qs[a : a + cap]), 1):
+            norm = class_norm(p, 2**j)
+            best = max(best, before * norm)
+        before *= norm
     return best, len(qs) <= cap
 
 

@@ -172,6 +172,42 @@ def test_mask_sum_and_difference_are_index_loop(a, b):
             assert bits(got) == bits(want)
 
 
+@st.composite
+def long_stencils(draw):
+    """``(stencil, arity)``: 33 to 4096 coefficients, past class_norm's
+    loop, from a base within about 10**6 of 0, and an arity 2**j for
+    j = 1..16.  Some lengths sit one below, at or one past a multiple of
+    the arity, and some bases put the stencil's end there.  The
+    coefficients are floats within a drawn span of binades, some replaced
+    by signed zeros and subnormals."""
+    arity = 2 ** draw(st.integers(1, 16))
+    near = [n for k in range(1, 4096 // arity + 2) for n in (k * arity - 1, k * arity, k * arity + 1)
+            if 33 <= n <= 4096]
+    lengths = st.integers(33, 4096)
+    length = draw(lengths | st.sampled_from(near) if near else lengths)
+    base = draw(st.integers(-10**6, 10**6))
+    if draw(st.booleans()):
+        base += -(base + length) % arity + draw(st.integers(-1, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-1074, 400))
+    coeffs = rng.uniform(-2.0, 2.0, length) * 2.0 ** rng.integers(lo, lo + draw(st.integers(1, 60)), length)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1023) * 1.5])
+    chosen = rng.random(length) < draw(st.floats(0.0, 1.0))
+    coeffs[chosen] = rng.choice(special, chosen.sum())
+    return (base, coeffs), arity
+
+
+@settings(derandomized, max_examples=300)
+@given(long_stencils())
+def test_long_class_norm_is_loop(case):
+    """The class sums of a long stencil, taken as column sums of its
+    weights laid out in rows of ``arity``, are the loop's bit for bit."""
+    (base, coeffs), arity = case
+    want = loop_class_norm(SimpleNamespace(base=base, coeffs=coeffs.tolist()), arity)
+    assert class_norm((base, coeffs), arity) == want
+    assert class_norm((base, tuple(coeffs.tolist())), arity) == want
+
+
 @derandomized
 @given(mask_lists)
 def test_product_norm_is_residue_norm_of_composition(masks):

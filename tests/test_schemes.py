@@ -546,33 +546,42 @@ def difference_rules(target, stop):
 
 
 def recomposed_c1_prefix(target, stop):
-    """The C1 prefix as certification computed it before the product was
-    held: every step puts the next level in front and recomposes every
-    factor, in chunks of the cap counted from the newest level once the
-    prefix is longer than the cap."""
-    prefix, best, exact = [], 1.0, True
+    """The C1 prefix recomposed from scratch for every prefix: exact up to
+    the cap, and past it the product of the norms of its blocks of cap
+    levels aligned at k0, the oldest first, each block composed afresh."""
+    levels, best = [], 1.0
     for level in range(target.k0, stop):
-        prefix.insert(0, target.difference_mask_at(level))
-        if len(prefix) <= _EXACT_PRODUCT_CAP:
-            norm = product_norm(prefix)
-        else:
-            exact = False
-            norm = 1.0
-            for i in range(0, len(prefix), _EXACT_PRODUCT_CAP):
-                norm *= product_norm(prefix[i : i + _EXACT_PRODUCT_CAP])
+        levels.append(target.difference_mask_at(level))
+        norm = 1.0
+        for i in range(0, len(levels), _EXACT_PRODUCT_CAP):
+            norm *= product_norm(levels[i : i + _EXACT_PRODUCT_CAP][::-1])
         best = max(best, norm)
-    return best, exact
+    return best, len(levels) <= _EXACT_PRODUCT_CAP
 
 
-@pytest.mark.parametrize("target", [
-    pytest.param(catalog.derham_nonstationary(1.05, alpha=19.5), id="corner"),
-    pytest.param(tension_scheme(), id="tension"),
+@pytest.mark.parametrize("target, stop", [
+    *(pytest.param(target, stop, id=f"{stop}-{name}")
+      for stop in (1, 10, 16, 17, 18, 35)
+      for name, target in (("corner", catalog.derham_nonstationary(1.05, alpha=19.5)),
+                           ("tension", tension_scheme()))),
+    # its worst prefix, 16 + 2 levels, lies past the first block; chunks of
+    # the cap counted from the newest level bounded it by 1487.3 instead
+    pytest.param(tension_scheme(0.26, 3.0), 19, id="19-stiff-tension"),
 ])
-@pytest.mark.parametrize("stop", [1, 10, 16, 17, 18, 35])
 def test_c1_prefix_matches_recomposing(target, stop):
-    """Holding the product and sharing the chunks gives the recomposing
-    loop's numbers exactly, below, at and past the cap and past two chunks."""
+    """Extending each block's product gives the recomposing loop's numbers
+    exactly, below, at and past the cap and past two blocks."""
     assert _c1_prefix(difference_rules(target, stop)) == recomposed_c1_prefix(target, stop)
+
+
+def test_c1_prefix_chunks_align_at_k0():
+    """The stiff tension item's certificate: its C1 prefix is worst at 18
+    levels, the first block times the first two levels after it, so
+    k0-aligned blocks give a C1 24% above the newest-first chunks'
+    34812196.556231655."""
+    target = tension_scheme(0.26, 3.0)
+    cert = certify_theorem4(target, stationary_scheme(tension_mask(0.26), N=3), k_range=(1, 256))
+    assert (cert.K, cert.n, cert.C1, cert.meta["c1_exact"]) == (172, 2, 43134105.66004175, False)
 
 
 @pytest.mark.parametrize("gamma, alpha, K, C1", [
@@ -601,9 +610,11 @@ def test_c1_rounds_up():
 
 
 def test_c1_prefix_compositions_linear_in_K(monkeypatch):
-    """Each chunk is composed once: the C1 prefix of the K = 43 item costs
-    (cap - 1) kernel compositions per level past the cap, not a number
-    growing with K**2 as recomposing every prefix did (825 here)."""
+    """Each block's products are taken by extension: the C1 prefix of the
+    K = 43 item costs one kernel composition a level less one a block
+    (its first level is a rule, composed with nothing), not (cap - 1) per
+    level past the cap (405 here) nor a number growing with K**2 as
+    recomposing every prefix did (825)."""
     target = catalog.derham_nonstationary(1.05, alpha=19.5)
     K, n = 43, 1  # its certificate's, pinned by test_c1_pinned_bits
     rules = difference_rules(target, K + n - 1)
@@ -617,8 +628,8 @@ def test_c1_prefix_compositions_linear_in_K(monkeypatch):
     monkeypatch.setattr(operators, "compose_coeffs", counted)
     _c1_prefix(rules)
     levels = K + n - 1 - target.k0
-    assert len(calls) == (_EXACT_PRODUCT_CAP - 1) * (levels - _EXACT_PRODUCT_CAP + 1)
-    assert len(calls) <= (_EXACT_PRODUCT_CAP - 1) * K
+    assert len(calls) == levels - math.ceil(levels / _EXACT_PRODUCT_CAP) == 39
+    assert len(calls) <= K
 
 
 @pytest.mark.parametrize("target, comparator, k_range", [

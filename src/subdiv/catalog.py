@@ -9,6 +9,8 @@ import math
 import os
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import InvalidParameter
 from .masks import LINEAR_BSPLINE, Mask
 from .schemes import (
@@ -52,6 +54,18 @@ def _corner_mask(gamma_k: float) -> Mask:
     return Mask(-1, (1.0 / s, (1.0 + gamma_k) / s, (1.0 + gamma_k) / s, 1.0 / s))
 
 
+def _corner_rows(gammas: np.ndarray) -> np.ndarray:
+    """The rows from index -2 of ``_corner_mask`` of each ratio, by the same
+    float operations, up to the first ratio it refuses."""
+    bad = np.flatnonzero(~((gammas >= 0) & np.isfinite(gammas)))
+    g = gammas[: bad[0]] if len(bad) else gammas
+    s = 2.0 + g
+    rows = np.zeros((len(g), 5))
+    rows[:, 1] = rows[:, 4] = 1.0 / s
+    rows[:, 2] = rows[:, 3] = (1.0 + g) / s
+    return rows
+
+
 def derham_stationary(gamma: float) -> SchemeSpec:
     """Corner cutting with segment ratios 1 : gamma : 1 at every level."""
     if gamma <= 0:
@@ -89,6 +103,9 @@ def derham_nonstationary(
         def eps_at(k: int) -> float:
             return alpha_f / k
 
+        def eps_rows(lo: int, hi: int) -> np.ndarray:
+            return alpha_f / np.arange(lo, hi + 1)
+
         sup_gamma = max(gamma, gamma + alpha_f / k0)
         analytic = AnalyticSimilarity(
             base_mask=_corner_mask(gamma),
@@ -112,6 +129,9 @@ def derham_nonstationary(
         def eps_at(k: int) -> float:
             return table[k - k0]
 
+        def eps_rows(lo: int, hi: int) -> np.ndarray:
+            return np.array(table[lo - k0 : hi - k0 + 1])
+
         sup_gamma = max(gamma + e for e in table)
         analytic = None
         max_level = k0 + len(table) - 1
@@ -124,8 +144,14 @@ def derham_nonstationary(
         }
         name = f"derham(gamma={gamma:g}, eps table)"
 
-    return formula_scheme(
+    def rows_fn(lo: int, hi: int) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an overflowing ratio is refused
+            return _corner_rows(gamma + eps_rows(lo, hi))
+
+    return SchemeSpec(
+        kind="formula",
         mask_fn=lambda k: _corner_mask(gamma + eps_at(k)),
+        rows_fn=rows_fn,
         k0=k0,
         N=2,
         name=name,

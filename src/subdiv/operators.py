@@ -12,7 +12,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractionNotFound, EmptyOutput, InvalidParameter
-from .masks import Mask, class_norm, class_norms, compose_coeffs, row_stencils, stencil
+from .masks import (
+    Mask, class_norm, class_norms, compose_coeffs, product_rows, row_stencils, stencil,
+)
 
 
 class Window:
@@ -82,8 +84,10 @@ class Window:
 MEMORY_BUDGET = 2**30
 # Peak bytes per coefficient while a product of n rules of a scheme with
 # locality N is composed and its norm taken, counting the product as
-# 2N * 2**n coefficients.  tracemalloc measured about 14 for product_norm
-# of Chaikin's difference rule; 64 keeps a margin of over 4x.
+# 2N * 2**n coefficients, or while a block of products (``product_blocks``)
+# is, counting the block as at least _PRODUCT_BLOCK coefficients.
+# tracemalloc measured about 14 for product_norm of Chaikin's difference
+# rule; 64 keeps a margin of over 4x.
 _PRODUCT_BYTES = 64
 # Peak bytes the search holds per scanned level and per unit of n_max,
 # besides the level table: up to n_max cells of the scan.  tracemalloc
@@ -115,6 +119,30 @@ def product_bytes(N: int, n: int) -> int:
 # a block's temporaries stay small.  On a 2-vCPU Xeon VM, 2**15 ran a
 # level-19 decay_report a little faster than 2**14 or 2**16.
 _BLOCK = 2**15
+# Coefficients per block of ``product_blocks``.  Each step of
+# ``masks.product_rows`` has a fixed cost that a block's rows share: with
+# blocks of 2**15, products of 11 or 12 rules of a 4-point rule (N = 3)
+# took a block a start level, and contraction_scan with n_max = 12 ran
+# 1.6x slower than composing each product on its own; 2**17 ran about as
+# fast as that.
+_PRODUCT_BLOCK = 2**17
+
+
+def block_bytes(N: int, n: int) -> int:
+    """Peak bytes of a block of ``product_blocks`` for a scheme with
+    locality N: a block holds at most _PRODUCT_BLOCK coefficients, or one
+    product."""
+    return max(_PRODUCT_BYTES * _PRODUCT_BLOCK, product_bytes(N, n))
+
+
+def product_blocks(rules: np.ndarray, n: int):
+    """``masks.product_rows`` of a window of rule rows, yielded block by
+    block of consecutive start levels: each block's rows hold at most
+    _PRODUCT_BLOCK coefficients, and at least one row."""
+    width = (rules.shape[1] - 1) * (2**n - 1) + 1
+    step = max(1, _PRODUCT_BLOCK // width)
+    for a in range(0, len(rules) - n + 1, step):
+        yield product_rows(rules[a : a + step + n - 1], n)
 
 
 def block_ranges(lo: int, hi: int):
@@ -232,8 +260,9 @@ def compose(outer: ProductOperator, inner: ProductOperator) -> ProductOperator:
 def residue_class_norm(m: Mask, arity: int) -> float:
     """Max over residue classes mod arity of the absolute coefficient sums.
 
-    This is the sup-norm of the arity-``arity`` operator with stencil m;
-    residues are taken on absolute indices, so the result is base-sensitive.
+    This is the sup-norm of the arity-``arity`` operator with stencil m.
+    Residues are taken on absolute indices, but moving the base relabels
+    the classes cyclically, so the maximum does not depend on the base.
     """
     if arity < 1:
         raise InvalidParameter("arity must be positive")
@@ -259,13 +288,6 @@ def _product(rules: Sequence[tuple[int, Sequence[float]]]) -> tuple[int, Sequenc
     if not rules:
         raise InvalidParameter("empty operator product")
     return functools.reduce(_compose_next, rules)
-
-
-def runs(rules: Sequence[tuple[int, Sequence[float]]], n: int):
-    """Yield the stencils of the products of each n consecutive rules,
-    given as stencils, in level order: the product of ``rules[k : k + n]``,
-    for k = 0, 1, ..."""
-    return (_product(rules[k : k + n]) for k in range(len(rules) - n + 1))
 
 
 def compose_all(masks: Sequence[Mask]) -> ProductOperator:
@@ -315,7 +337,7 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
     if scheme.kind != "stationary":
         _, last = scheme.clamp(k0, k0 + K_max + window + n_max - 1)
     scheme.admit(k0, last, f"products of up to {n_max} rules over levels {k0} to {last}",
-                 product_bytes(scheme.N, n_max) + _LEVEL_BYTES * n_max * (last - k0 + 1))
+                 block_bytes(scheme.N, n_max) + _LEVEL_BYTES * n_max * (last - k0 + 1))
     rules = scheme._block(k0, last, rules=True)
     if scheme.kind == "stationary":
         q = row_stencils(rules, -scheme.N)[0]
@@ -324,12 +346,9 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
         return
 
     for n in range(1, n_max + 1):
-        if n == 1:
-            norms = class_norms(rules, -scheme.N, 2).tolist()
-        else:
-            if n == 2:
-                qs = row_stencils(rules, -scheme.N)
-            norms = [class_norm(p, 2**n) for p in runs(qs, n)]
+        base, arity = -scheme.N * (2**n - 1), 2**n
+        norms = [norm for rows in product_blocks(rules, n)
+                 for norm in class_norms(rows, base, arity).tolist()]
         for K in range(k0, k0 + K_max + 1):
             cell = norms[K - k0 : K - k0 + window + 1]
             if not cell:

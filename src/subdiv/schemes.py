@@ -21,10 +21,11 @@ from .errors import (
 )
 from .masks import (
     DECAY_MARGIN, ROUND_TOL, TOL, Mask, class_norm, class_norms, coeff_norm,
-    difference_rows, row_stencils, rule_failure, stencil_difference,
+    difference_rows, product_rows, row_stencils, rule_failure,
 )
 from .operators import (
-    ContractionWitness, check_budget, condition_a_search, product_bytes, products, runs,
+    ContractionWitness, block_bytes, check_budget, condition_a_search, product_blocks,
+    product_bytes, products,
 )
 
 # Explicit compositions are kept exact up to this many factors; longer
@@ -70,9 +71,17 @@ class _LevelTable:
         self.masks, self.rules, self.verdicts = grown
 
     def build(self, scheme: "SchemeSpec", last: int) -> None:
-        """Build the masks of the rows up to ``last``, in level order."""
+        """Build the masks of the rows up to ``last``, in level order: as
+        many as the scheme's ``rows_fn`` gives, then one ``mask_fn`` call a
+        level, which raises for the level that ``rows_fn`` stopped before.
+        A single level, as a table read one level at a time builds them,
+        takes ``mask_fn``, which costs less on one level."""
         N = scheme.N
         self._reserve(last + 1, N)
+        if scheme.rows_fn is not None and self.built < last:
+            rows = scheme.rows_fn(self.start + self.built, self.start + last)
+            self.masks[self.built : self.built + len(rows)] = rows
+            self.built += len(rows)
         for r in range(self.built, last + 1):
             k = self.start + r
             m = scheme.mask_fn(k)
@@ -124,7 +133,10 @@ class SchemeSpec:
     must fit in [-N, N].  Table schemes are only defined up to
     ``max_level``.  ``bound_hint`` asserts a known supremum of the
     coefficient sup-norms over all levels, replacing windowed estimates in
-    the error constants.
+    the error constants.  ``rows_fn``, which the catalog gives where its
+    masks are array operations, maps levels lo to hi to the rows from index
+    -N (2N + 1 columns) of their masks, bit for bit as ``mask_fn``'s, and
+    stops before the first level that ``mask_fn`` refuses.
     """
 
     kind: str
@@ -136,6 +148,7 @@ class SchemeSpec:
     max_level: int | None = None
     analytic: AnalyticSimilarity | None = None
     descriptor: dict | None = None
+    rows_fn: Callable[[int, int], np.ndarray] | None = field(default=None, repr=False)
     # the level table, from k0; a stationary scheme holds its one level
     _table: _LevelTable = field(init=False, repr=False)
     # the table of the latest range read past the levels _table holds
@@ -499,8 +512,10 @@ def _transfer(
     eps = (mu - mu_star) / 2.0
 
     # counted from k0, since the C1 prefix reads the levels before the window
+    N = max(target.N, comparator.N)
     target.admit(target.k0, k_hi + n - 1,
-                 f"a transfer over levels {target.k0} to {k_hi + n - 1}")
+                 f"a transfer over levels {target.k0} to {k_hi + n - 1}",
+                 block_bytes(N, n))
     # Constant reproduction on every target level from k0, checked before
     # similarity so the failure reported first is the binding one.
     rules = target._block(target.k0, k_hi + n - 1, rules=True)[k_lo - target.k0 :]
@@ -511,20 +526,15 @@ def _transfer(
             f"'{sim.similar}', not 'yes'"
         )
 
-    c_rule = comparator._block(comparator.k0, comparator.k0, rules=True)
-    if n == 1:
-        N = max(target.N, comparator.N)
-        t = _widened(rules, N)
-        diffs = class_norms(t - _widened(c_rule, N), -N, 2).tolist()
-        tnorms = class_norms(t, -N, 2).tolist()
-    else:
-        c = next(runs(row_stencils(c_rule, -comparator.N) * n, n))
-        arity = 2 ** n
-        diffs = []
-        tnorms = []
-        for t in runs(row_stencils(rules, -target.N), n):
-            diffs.append(class_norm(stencil_difference(t, c), arity))
-            tnorms.append(class_norm(t, arity))
+    # the comparator's one product, and the target's over blocks of start
+    # levels, as rows from the same index
+    c_rule = _widened(comparator._block(comparator.k0, comparator.k0, rules=True), N)
+    c = product_rows(np.repeat(c_rule, n, axis=0), n)
+    base, arity = -N * (2**n - 1), 2**n
+    diffs, tnorms = [], []
+    for t in product_blocks(_widened(rules, N), n):
+        diffs += class_norms(t - c, base, arity).tolist()
+        tnorms += class_norms(t, base, arity).tolist()
 
     # the level after the last difference above epsilon
     k_tilde = k_lo + max((i + 1 for i, d in enumerate(diffs) if d > eps), default=0)
@@ -576,27 +586,28 @@ def transfer_condition_a(
     return _transfer(target, comparator, witness_star, k_range, mu)[0]
 
 
-def _c1_prefix(qs: Sequence[tuple[int, Sequence[float]]]) -> tuple[float, bool]:
+def _c1_prefix(rules: np.ndarray) -> tuple[float, bool]:
     """C1's worst prefix norm and whether it is exact: the largest norm, and
-    at least 1, of the products ``qs[:m]`` for every m, where ``qs`` holds
-    the stencils of the target's difference rules in level order from its
-    k0.
+    at least 1, of the products of the first m rules for every m, where
+    ``rules`` holds the rows from index -N of the target's difference rules
+    in level order from its k0.
 
     A product of at most ``_EXACT_PRODUCT_CAP`` rules is expanded exactly.
     A longer one is bounded by submultiplicativity over blocks of that many
     levels aligned at k0: the product of the norms of the full blocks before
     it times the exact norm of its partial block.  A block's partial
-    products are taken by extension, so each level costs one composition
-    and one block's product is held at a time.
+    products are taken by extension, so each level costs one composition,
+    and one block's stencils and product are held at a time.
     """
     cap = _EXACT_PRODUCT_CAP
     best = before = 1.0
-    for a in range(0, len(qs), cap):
-        for j, p in enumerate(products(qs[a : a + cap]), 1):
+    for a in range(0, len(rules), cap):
+        qs = row_stencils(rules[a : a + cap], -(rules.shape[1] // 2))
+        for j, p in enumerate(products(qs), 1):
             norm = class_norm(p, 2**j)
             best = max(best, before * norm)
         before *= norm
-    return best, len(qs) <= cap
+    return best, len(rules) <= cap
 
 
 @dataclass(frozen=True)
@@ -749,7 +760,7 @@ def certify_theorem4(
     target.admit(target.k0, K + n - 2, f"a C1 prefix over levels {target.k0} to {K + n - 2}",
                  product_bytes(target.N, min(_EXACT_PRODUCT_CAP, len(prefix))))
     rules = target._block(target.k0, K + n - 2, rules=True)
-    best, c1_exact = _c1_prefix(row_stencils(rules, -target.N))
+    best, c1_exact = _c1_prefix(rules)
     C1 = _c1(best, mu_hat, K + n - 1)
 
     bound = boundedness_estimate(target, (transfer_meta["k_lo"], transfer_meta["k_hi"]))

@@ -1,6 +1,10 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subdiv import catalog
 from subdiv.errors import InvalidParameter
@@ -110,6 +114,63 @@ def test_derham_overflowing_ratio_refused():
     s = catalog.derham_nonstationary(1.7e308, alpha=1.7e308)
     with pytest.raises(InvalidParameter, match="ratio must be finite"):
         s.mask_at(1)
+
+
+def built_rows(scheme, hi):
+    """Build the scheme's levels k0 .. hi as one range: the error of the
+    first level refused, the number of levels built and their rows' bits."""
+    try:
+        scheme._block(scheme.k0, hi)
+        err = None
+    except InvalidParameter as exc:
+        err = str(exc)
+    table = scheme._table
+    return err, table.built, table.masks[: table.built].tobytes()
+
+
+def built_by_loop(scheme, hi):
+    """``built_rows`` of the scheme built one ``mask_fn`` call a level."""
+    return built_rows(dataclasses.replace(scheme, rows_fn=None), hi)
+
+
+ROW_LEVELS = 10**4
+derham_rows_settings = settings(max_examples=40, deadline=None, derandomize=True,
+                                database=None)
+
+
+@derham_rows_settings
+@given(st.floats(1e-3, 1e3) | st.just(1.7e308), st.floats(-1e3, 1e3) | st.just(1.7e308),
+       st.integers(1, 10**6))
+@example(1.7e308, 1.7e308, 1)
+@example(1.5, -700.0, 1)
+def test_derham_rows_are_mask_fn_rows(gamma, alpha, k0):
+    """derham's rows over 10**4 levels hold mask_fn's masks bit for bit; a
+    ratio refused at the first levels (negative, or overflowing to inf)
+    raises mask_fn's message with the same levels built before it."""
+    s = catalog.derham_nonstationary(gamma, alpha=alpha, k0=k0)
+    got = built_rows(s, k0 + ROW_LEVELS - 1)
+    assert got == built_by_loop(s, k0 + ROW_LEVELS - 1)
+    assert got[0] is None or "corner-cutting ratio must be" in got[0]
+
+
+@settings(derham_rows_settings, max_examples=24)
+@given(st.floats(1e-3, 1e3) | st.just(1e308), st.integers(0, 2**32 - 1),
+       st.sampled_from(["none", "negative", "huge"]), st.integers(0, ROW_LEVELS - 1))
+@example(1e308, 0, "huge", 5000)
+@example(2.0, 1, "negative", 7000)
+def test_derham_eps_table_rows_are_mask_fn_rows(gamma, seed, bad, at):
+    """The same for an eps table of 10**4 levels, with one entry that makes
+    the ratio negative or huge (overflowing when gamma is) at any level."""
+    eps = np.random.default_rng(seed).uniform(-0.5, 1.0, ROW_LEVELS) * min(gamma, 1e3)
+    if bad == "negative":
+        eps[at] = -1.5 * gamma
+    elif bad == "huge":
+        eps[at] = 1e308
+    s = catalog.derham_nonstationary(gamma, eps=eps.tolist(), k0=3)
+    got = built_rows(s, s.max_level)
+    assert got == built_by_loop(s, s.max_level)
+    refused = bad == "negative" or (bad == "huge" and gamma == 1e308)
+    assert (got[0] is not None, got[1]) == (refused, at if refused else ROW_LEVELS)
 
 
 def test_derham_bound_hints():

@@ -8,14 +8,15 @@ same examples every time.
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subdiv import operators
+from subdiv import masks, operators
 from subdiv.errors import InvalidParameter, NotConstantReproducing
 from subdiv.masks import (
     NOT_REPRODUCING,
@@ -26,9 +27,11 @@ from subdiv.masks import (
     class_norm,
     class_norms,
     coeff_norm,
+    compose_coeffs,
     difference_mask,
     difference_rows,
     mask_from_difference,
+    product_rows,
     reproduces_constants,
     row_stencils,
     stencil,
@@ -44,7 +47,6 @@ from subdiv.operators import (
     compose_all,
     product_norm,
     residue_class_norm,
-    runs,
 )
 from subdiv.refine import RefinementState, _finite, decay_report
 from subdiv.schemes import table_scheme
@@ -135,6 +137,18 @@ def loop_difference_mask(m: Mask) -> Mask:
     q = Mask(m.base + lo, tuple(out[lo:hi]))
     assert all(abs(m[i] - (q[i] + q[i - 1])) <= 1e-10 for i in range(m.base, m.base + len(m)))
     return q
+
+
+def runs(rules, n):
+    """Yield the stencils of the products of each n consecutive rules,
+    given as stencils, in level order: the product of ``rules[k : k + n]``,
+    for k = 0, 1, ..., composed afresh for each k, one ``compose_coeffs``
+    a factor.  The reference for ``product_rows``."""
+    def compose_next(held, rule):
+        return compose_coeffs(rule, held, 2)
+
+    return (functools.reduce(compose_next, rules[k : k + n])
+            for k in range(len(rules) - n + 1))
 
 
 def padded(m: Mask, N: int, width: int) -> np.ndarray:
@@ -230,6 +244,48 @@ def test_runs_are_level_ordered_products(rules, n):
     assert len(got) == max(len(rules) - n + 1, 0)
     for k, (base, coeffs) in enumerate(got):
         assert Mask(base, tuple(map(float, coeffs))) == compose_all(rules[k : k + n][::-1]).mask
+
+
+# Rule rows of up to 12 columns, one coefficient a column drawn across
+# binades, with zeros inside and at either end, so that rows of one block
+# start and stop at different columns; 12 columns take np.convolve past its
+# multiply-add interior.
+rule_rows = st.integers(1, 6).flatmap(lambda N: st.lists(
+    st.lists(st.just(0.0) | st.floats(-1e3, 1e3, allow_subnormal=False),
+             min_size=2 * N, max_size=2 * N),
+    min_size=1, max_size=12))
+
+
+@settings(derandomized, max_examples=150)
+@given(rule_rows, st.integers(1, 6))
+# a product's end underflows to zero, which moves its extent and so the
+# length of the dot products that sum the ends of the next product
+@example([[1e-200, *np.sqrt(np.arange(2.0, 19.0))]] * 3, 3)
+@example([[*np.sqrt(np.arange(18.0, 1.0, -1.0)), 1e-200]] * 3, 3)
+def test_product_rows_are_runs(rules, n):
+    """Row k of product_rows holds runs' product of rules k to k + n - 1,
+    each coefficient bit for bit, so the class norms of its rows are the
+    class norms of runs' stencils; the rows padded with zeros, or a block
+    cut short, give the same rows."""
+    rows_in = np.array(rules)
+    N = rows_in.shape[1] // 2
+    want = list(runs(row_stencils(rows_in, -N), n))
+    base, arity = -N * (2**n - 1), 2**n
+    # the groups convolved one row at a time, and as blocks down to one row
+    for batch_rows in (masks._BATCH_ROWS, 1):
+        with mock.patch.object(masks, "_BATCH_ROWS", batch_rows):
+            got = product_rows(rows_in, n)
+            assert got.shape == (max(len(rules) - n + 1, 0), (2 * N - 1) * (2**n - 1) + 1)
+            assert len(got) == len(want)
+            for row, p in zip(got, want):
+                assert bits(Mask(*row_stencils(row[None], base)[0])) == bits(Mask(*p))
+            norms = [class_norm(p, arity) for p in want]
+            assert class_norms(got, base, arity).tolist() == norms
+            wide = np.zeros((len(rules), 2 * N + 2))
+            wide[:, 1:-1] = rows_in
+            assert product_rows(wide, n)[:, 2**n - 1 : 1 - 2**n].tobytes() == got.tobytes()
+            for cut in range(n, len(rules) + 1):
+                assert product_rows(rows_in[:cut], n).tobytes() == got[: cut - n + 1].tobytes()
 
 
 @derandomized

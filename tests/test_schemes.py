@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from subdiv import catalog, operators, refine, schemes
@@ -12,7 +13,7 @@ from subdiv.errors import (
     SimilarityNotEstablished,
     TailNotReached,
 )
-from subdiv.masks import Mask, coeff_norm, difference_mask, difference_rows, stencil
+from subdiv.masks import Mask, coeff_norm, difference_mask, difference_rows
 from subdiv.operators import compose_all, condition_a_search, product_norm, residue_class_norm
 from subdiv.schemes import (
     _EXACT_PRODUCT_CAP,
@@ -541,8 +542,13 @@ def tension_scheme(w: float = 0.27, b: float = 0.2):
 
 
 def difference_rules(target, stop):
-    """The stencils of the target's difference rules on levels k0 .. stop - 1."""
-    return [stencil(target.difference_mask_at(k)) for k in range(target.k0, stop)]
+    """The rows from index -N of the target's difference rules on levels
+    k0 .. stop - 1, each rebuilt from its own difference mask."""
+    rows = np.zeros((stop - target.k0, 2 * target.N))
+    for r, k in enumerate(range(target.k0, stop)):
+        q = target.difference_mask_at(k)
+        rows[r, target.N + q.base : target.N + q.base + len(q)] = q.coeffs
+    return rows
 
 
 def recomposed_c1_prefix(target, stop):
@@ -717,6 +723,16 @@ def test_certification_golden_digest():
     text = json.dumps(certification_record(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f09ca0f2e93fb7ee4961b97df5db88e687a77fe25bd8c888422ab0f0039601dd"
+    )
+
+
+def test_certification_certificates_digest():
+    """The record's certificates alone keep the bits they had when each
+    product of n >= 2 rules was composed one start level at a time."""
+    certificates = [r for r in certification_record() if isinstance(r, dict)]
+    text = json.dumps(certificates, sort_keys=True)
+    assert len(certificates) == 12 and hashlib.sha256(text.encode()).hexdigest() == (
+        "c6fc35bf8cecba6125de71aa98d1a866e9155698a224447a1232b9fdd51e1dfb"
     )
 
 

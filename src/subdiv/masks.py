@@ -235,125 +235,27 @@ def compose_coeffs(
     return _trimmed(o_base + arity * i_base, np.convolve(o, up), 0.0)
 
 
-# np.convolve takes a product's interior as plain multiply-adds when its
-# shorter factor has at most this many coefficients, and every other
-# coefficient as a dot product (numpy's ``small_correlate``).
-_SMALL_KERNEL = 11
-# ``_compose_rows`` convolves a group of at least _BATCH_ROWS rows whose
-# inner factors hold at most _BATCH_WIDTH coefficients as one block, and
-# other groups one np.convolve a row.  On a 2-vCPU VM, a block of 64 rows
-# against a 6-coefficient rule took 0.38 of the time of np.convolve a row
-# for inner rows of 8 coefficients, 0.52 for 64, 1.66 for 256.
-_BATCH_ROWS = 32
-_BATCH_WIDTH = 64
-
-
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The dot product of each pair of rows of two blocks.  matmul takes a
-    vector pair through numpy's dot kernel, the one np.convolve calls, so
-    each sum is rounded (and fused, under BLAS) as np.convolve rounds it."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def _convolve_rows(o: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
-    """Write np.convolve(o, up) of each pair of rows of two blocks into
-    ``out``, which holds +0.0, bit for bit for finite coefficients, where
-    ``up`` is ``p`` with a zero between each two coefficients, and ``o``
-    has at most _SMALL_KERNEL coefficients, fewer than ``up``.
-
-    As np.convolve does, correlate ``up`` with the reversed ``o``: each end
-    coefficient is a dot product over the overlap, each interior one
-    multiply-adds from +0.0 in the kernel's order.  The interior skips the
-    products with up's zeros, which add nothing to a sum from +0.0."""
-    n1, n2 = 2 * p.shape[1] - 1, o.shape[1]
-    up = np.zeros((len(p), n1))
-    up[:, ::2] = p
-    k = o[:, ::-1].copy()  # a positive stride, which the dot kernel needs
-    for t in range(n2 - 1):
-        out[:, t] = _dots(up[:, : t + 1], k[:, n2 - 1 - t :])
-        out[:, n1 + n2 - 2 - t] = _dots(up[:, n1 - 1 - t :], k[:, : t + 1])
-    # o[t] meets up's coefficients at the outputs of t's parity, which are
-    # summed in a contiguous array a parity
-    for parity in (0, 1):
-        first = n2 - 1 + (parity - n2 + 1) % 2
-        count = (n1 - 1 - first) // 2 + 1
-        acc, term = np.zeros((len(p), count)), np.empty((len(p), count))
-        for t in range(n2 - 1 - (n2 - 1 - parity) % 2, -1, -2):
-            skip = (first - t) // 2
-            np.multiply(o[:, t : t + 1], p[:, skip : skip + count], out=term)
-            acc += term
-        out[:, first:n1:2] = acc
-
-
-def _extents(rows: np.ndarray) -> np.ndarray:
-    """Each row's first column and stop past its last nonzero coefficient,
-    as the columns of one array; (0, 0) for a zero row."""
-    nonzero = rows != 0.0
-    live = nonzero.any(axis=1)
-    return np.stack([nonzero.argmax(axis=1) * live,
-                     (rows.shape[1] - nonzero[:, ::-1].argmax(axis=1)) * live], axis=1)
-
-
-def _compose_rows(outer: np.ndarray, outer_ext: np.ndarray, inner: np.ndarray,
-                  inner_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of outer(z) * inner(z**2) for each pair of rows, ``compose_coeffs``
-    bit for bit, and their ``_extents``.  The rows alike in where their
-    factors' nonzero coefficients start and stop (``outer_ext`` and
-    ``inner_ext``) are convolved as ``compose_coeffs`` convolves each pair
-    of stencils, as one block or one row at a time.  A row of ``outer`` and
-    ``inner`` from indices b and c gives a row from b + 2c, +0.0 off the
-    product."""
-    out = np.zeros((len(outer), outer.shape[1] + 2 * inner.shape[1] - 2))
-    ext = np.zeros((len(out), 2), dtype=outer_ext.dtype)
-    if not len(out):
-        return out, ext
-    keys = np.concatenate([outer_ext, inner_ext], axis=1)
-    if (keys == keys[0]).all():
-        groups = [(slice(None), keys[0])]
-    else:
-        found, which = np.unique(keys, axis=0, return_inverse=True)
-        groups = [(which.reshape(-1) == g, key) for g, key in enumerate(found)]
-    for rows, (a, b, c, d) in groups:
-        if a == b or c == d:
-            continue  # a zero factor: the product is zero
-        o, p = outer[rows, a:b], inner[rows, c:d]
-        piece = out[rows, a + 2 * c : b + 2 * d - 2]
-        if (len(p) >= _BATCH_ROWS and d - c <= _BATCH_WIDTH
-                and b - a <= min(_SMALL_KERNEL, 2 * (d - c) - 2)):
-            _convolve_rows(o, p, piece)
-        else:
-            up = np.zeros(2 * (d - c) - 1)
-            for r in range(len(p)):
-                up[::2] = p[r]
-                piece[r] = np.convolve(o[r], up)
-        if not isinstance(rows, slice):
-            out[rows, a + 2 * c : b + 2 * d - 2] = piece
-        ext[rows] = a + 2 * c, b + 2 * d - 2
-    # each end is the product of the factors' ends, zero only where it
-    # underflows, which moves the row's extent
-    live = np.flatnonzero(ext[:, 1])
-    if not (out[live, ext[live, 0]].all() and out[live, ext[live, 1] - 1].all()):
-        ext = _extents(out)
-    return out, ext
-
-
 def product_rows(rules: np.ndarray, n: int) -> np.ndarray:
     """The products of every n consecutive rules of a block of rule rows
     from index -N, in level order: row k holds the rules ``k`` to
     ``k + n - 1``, the first acting first, from index -N * (2**n - 1) over
     (2N - 1) * (2**n - 1) + 1 columns, +0.0 off its coefficients.  Each
-    product extends the one before it, P_m = q_{k+m-1}(z) * P_{m-1}(z**2),
-    for every start level at once, and its coefficients are those of
-    ``compose_coeffs`` bit for bit."""
+    start level's product extends the one before it,
+    P_m = q_{k+m-1}(z) * P_{m-1}(z**2), through ``compose_coeffs`` on the
+    trimmed stencils, so its coefficients are that kernel's bit for bit."""
     starts = max(len(rules) - n + 1, 0)
-    rows = rules[:starts]
-    if n > 1:
-        ext = _extents(rules)
-        rows_ext = ext[:starts]
-        for m in range(1, n):
-            rows, rows_ext = _compose_rows(rules[m : m + starts], ext[m : m + starts],
-                                           rows, rows_ext)
-    return rows
+    if n == 1:
+        return rules[:starts]
+    out = np.zeros((starts, (rules.shape[1] - 1) * (2**n - 1) + 1))
+    # bases count columns, so a product's base is its first column
+    q = row_stencils(rules, 0)
+    for k in range(starts):
+        product = q[k]
+        for rule in q[k + 1 : k + n]:
+            product = compose_coeffs(rule, product, 2)
+        base, coeffs = product
+        out[k, base : base + len(coeffs)] = coeffs
+    return out
 
 
 def symbol_eval(m: Mask, z: complex) -> complex:

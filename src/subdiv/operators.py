@@ -119,12 +119,8 @@ def product_bytes(N: int, n: int) -> int:
 # a block's temporaries stay small.  On a 2-vCPU Xeon VM, 2**15 ran a
 # level-19 decay_report a little faster than 2**14 or 2**16.
 _BLOCK = 2**15
-# Coefficients per block of ``product_blocks``.  Each step of
-# ``masks.product_rows`` has a fixed cost that a block's rows share: with
-# blocks of 2**15, products of 11 or 12 rules of a 4-point rule (N = 3)
-# took a block a start level, and contraction_scan with n_max = 12 ran
-# 1.6x slower than composing each product on its own; 2**17 ran about as
-# fast as that.
+# Coefficients per block of ``product_blocks``: 1 MiB of rows, whose norms
+# ``masks.class_norms`` takes in one pass over the block.
 _PRODUCT_BLOCK = 2**17
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subdiv import masks, operators
+from subdiv import operators
 from subdiv.errors import InvalidParameter, NotConstantReproducing
 from subdiv.masks import (
     NOT_REPRODUCING,
@@ -248,8 +248,7 @@ def test_runs_are_level_ordered_products(rules, n):
 
 # Rule rows of up to 12 columns, one coefficient a column drawn across
 # binades, with zeros inside and at either end, so that rows of one block
-# start and stop at different columns; 12 columns take np.convolve past its
-# multiply-add interior.
+# start and stop at different columns.
 rule_rows = st.integers(1, 6).flatmap(lambda N: st.lists(
     st.lists(st.just(0.0) | st.floats(-1e3, 1e3, allow_subnormal=False),
              min_size=2 * N, max_size=2 * N),
@@ -258,8 +257,8 @@ rule_rows = st.integers(1, 6).flatmap(lambda N: st.lists(
 
 @settings(derandomized, max_examples=150)
 @given(rule_rows, st.integers(1, 6))
-# a product's end underflows to zero, which moves its extent and so the
-# length of the dot products that sum the ends of the next product
+# a product's end underflows to zero and is trimmed, which moves the column
+# where the next product starts or stops
 @example([[1e-200, *np.sqrt(np.arange(2.0, 19.0))]] * 3, 3)
 @example([[*np.sqrt(np.arange(18.0, 1.0, -1.0)), 1e-200]] * 3, 3)
 def test_product_rows_are_runs(rules, n):
@@ -271,21 +270,18 @@ def test_product_rows_are_runs(rules, n):
     N = rows_in.shape[1] // 2
     want = list(runs(row_stencils(rows_in, -N), n))
     base, arity = -N * (2**n - 1), 2**n
-    # the groups convolved one row at a time, and as blocks down to one row
-    for batch_rows in (masks._BATCH_ROWS, 1):
-        with mock.patch.object(masks, "_BATCH_ROWS", batch_rows):
-            got = product_rows(rows_in, n)
-            assert got.shape == (max(len(rules) - n + 1, 0), (2 * N - 1) * (2**n - 1) + 1)
-            assert len(got) == len(want)
-            for row, p in zip(got, want):
-                assert bits(Mask(*row_stencils(row[None], base)[0])) == bits(Mask(*p))
-            norms = [class_norm(p, arity) for p in want]
-            assert class_norms(got, base, arity).tolist() == norms
-            wide = np.zeros((len(rules), 2 * N + 2))
-            wide[:, 1:-1] = rows_in
-            assert product_rows(wide, n)[:, 2**n - 1 : 1 - 2**n].tobytes() == got.tobytes()
-            for cut in range(n, len(rules) + 1):
-                assert product_rows(rows_in[:cut], n).tobytes() == got[: cut - n + 1].tobytes()
+    got = product_rows(rows_in, n)
+    assert got.shape == (max(len(rules) - n + 1, 0), (2 * N - 1) * (2**n - 1) + 1)
+    assert len(got) == len(want)
+    for row, p in zip(got, want):
+        assert bits(Mask(*row_stencils(row[None], base)[0])) == bits(Mask(*p))
+    norms = [class_norm(p, arity) for p in want]
+    assert class_norms(got, base, arity).tolist() == norms
+    wide = np.zeros((len(rules), 2 * N + 2))
+    wide[:, 1:-1] = rows_in
+    assert product_rows(wide, n)[:, 2**n - 1 : 1 - 2**n].tobytes() == got.tobytes()
+    for cut in range(n, len(rules) + 1):
+        assert product_rows(rows_in[:cut], n).tobytes() == got[: cut - n + 1].tobytes()
 
 
 @derandomized

@@ -331,21 +331,19 @@ def difference_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     into the error to raise.
     """
     levels, width = rows.shape
-    N = width // 2
-    at_minus_one, at_one = np.zeros(levels), np.zeros(levels)
+    at_one = np.zeros(levels)
     rules = np.zeros((levels, width + 1))  # one +0.0 column either side
     with np.errstate(all="ignore"):  # non-finite rows fail like the loop
         for j in range(width):
             col = rows[:, j]
             at_one += col
-            if (j - N) % 2:
-                at_minus_one -= col
-            else:
-                at_minus_one += col
-            if j < width - 1:
-                np.subtract(col, rules[:, j], out=rules[:, j + 1])
+            np.subtract(col, rules[:, j], out=rules[:, j + 1])
+        # The recurrence run through the last column is the symbol at -1
+        # up to sign, bit for bit, since fl(c - (-a)) = fl(a + c).
+        at_minus_one = np.abs(rules[:, -1])
+        rules[:, -1] = 0.0
         verdict = np.where(
-            (np.abs(at_minus_one) <= TOL) & (np.abs(at_one - 2.0) <= TOL),
+            (at_minus_one <= TOL) & (np.abs(at_one - 2.0) <= TOL),
             RULE_OK, NOT_REPRODUCING,
         )
         q = rules[:, 1:-1]

@@ -11,6 +11,7 @@ whole window but the one it returns."""
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,15 @@ class _Stencil:
         self.base = m.base - self.pad
         self.width = len(m) + 2 * self.pad
 
+    @property
+    def keeps_zero(self) -> bool:
+        """Whether every full-stencil sum over +0.0 values is +0.0: the
+        coefficients are finite and one has its sign bit clear, so each
+        product is +-0.0 and one is +0.0, and a round-to-nearest sum that
+        holds a +0.0 is +0.0 in any order, fused or not."""
+        c = self.coeffs.tolist()
+        return all(map(math.isfinite, c)) and any(math.copysign(1.0, x) > 0 for x in c)
+
     def reads(self, lo: int, hi: int) -> tuple[int, int]:
         """The values [first, stop) whose convolution holds the outputs
         [lo, hi) as full-stencil sums.  Clamped to the ends of the data,
@@ -105,8 +115,9 @@ class _Stencil:
 
 class _Work:
     """The scratch arrays the levels of a pass share, and the margins of
-    the chunks they pass on.  A level uses the arrays only within a step,
-    and no chunk lives in them.
+    the chunks they pass on.  A level writes the arrays only within a step,
+    and no chunk lives in them but views of the read-only buffer of
+    ``zeros``.
 
     A level leaves the last ``ahead`` values of a chunk to the next step,
     since the outputs that read them also need values past the chunk, and
@@ -116,7 +127,7 @@ class _Work:
     mask lies in [-N, N] and every rule in [-N, N - 1].
     """
 
-    __slots__ = ("back", "ahead", "up", "tmp")
+    __slots__ = ("back", "ahead", "up", "tmp", "_zeros")
 
     def __init__(self, N: int, longest: int):
         self.ahead = N + 1
@@ -124,6 +135,17 @@ class _Work:
         span = min(longest, operators._BLOCK // 2 + 1) + self.back + self.ahead + N + 3
         self.up = np.zeros(2 * span)  # the odd entries stay zero
         self.tmp = np.empty(2 * span)
+        self._zeros = None
+
+    def zeros(self, n: int) -> np.ndarray:
+        """n read-only +0.0 values: the outputs of a step that reads only
+        +0.0.  They lie in an anonymous mapping, made at the first such
+        step: the system fills it with zeros, and pages that are only read
+        share one zero page, so the buffer holds no memory."""
+        if self._zeros is None:
+            self._zeros = np.frombuffer(mmap.mmap(-1, self.up.nbytes))
+            self._zeros.setflags(write=False)
+        return self._zeros[:n]
 
 
 class _Level:
@@ -168,10 +190,13 @@ class _Level:
         a full-stencil sum, which numpy computes bit for bit as ``apply``
         does, and the two ends are the partial sums of ``apply``'s first
         and last block.  So neither the values nor the maxima depend on
-        how the levels are blocked.
+        how the levels are blocked.  A step away from the ends that reads
+        only +0.0, under a mask that ``keeps_zero``, takes no convolution:
+        its outputs are +0.0 all the same.
         """
         lo, hi, olo, ohi = self.lo, self.hi, self.olo, self.ohi
         m, q, back, ahead = self.mask, self.rule, work.back, work.ahead
+        keeps_zero = m.keeps_zero
         glo, ghi = max(olo, 2 * lo), min(ohi, 2 * hi - 1)
         if q is not None:
             qb, qt = q.support
@@ -194,12 +219,21 @@ class _Level:
                 A0, B1 = max(A - back, lo), min(B + ahead, hi)
                 P0, P, R, R1 = own(A0), own(A), own(B), own(B1)
                 F, G = m.reads(P0, R1)
+                full = lo <= F and G <= hi  # every output a full-stencil sum
                 F, G = max(F, lo), min(G, hi)
                 if F < start:  # the margins of _Work rule this out
                     raise RuntimeError(
                         f"level {self.level}: a chunk from index {start} lacks value {F}"
                     )
                 v = vals[F - start : G - start]
+                if full and keeps_zero and v[0] == v[-1] == 0.0 and not v.view(np.int64).any():
+                    # all it reads is +0.0 (a nonzero end value spares the
+                    # scan): the outputs are +0.0, and their differences, the
+                    # rule's disagreement and the gap +-0.0, so no maximum moves
+                    if emit:
+                        yield P0, work.zeros(R - P0)
+                    A = B
+                    continue
                 up = work.up[: 2 * len(v) - 1]
                 up[::2] = v
                 conv = m.convolve(up)
@@ -292,7 +326,9 @@ def _refine(scheme: SchemeSpec, initial: RefinementState, levels: list,
     for start, vals in chunks:
         stop = start + len(vals)
         if values is None and start == lo and stop == hi:
-            values = vals  # the level came as one chunk
+            # the level came as one chunk, owned unless it is a view of
+            # _Work's zeros (only a skipped step yields one)
+            values = vals if vals.flags.writeable else vals.copy()
         else:
             if values is None:
                 values = np.empty(hi - lo)

@@ -48,7 +48,7 @@ from subdiv.operators import (
     product_norm,
     residue_class_norm,
 )
-from subdiv.refine import RefinementState, _finite, decay_report
+from subdiv.refine import RefinementState, _finite, decay_report, limit_sample, refine_once
 from subdiv.schemes import table_scheme
 
 derandomized = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -478,3 +478,72 @@ def test_decay_pipeline_is_whole_window_loop(k0, levels, data):
         # a fresh scheme, so its level table is read as the pass reads it
         got = pipeline_outcome(table_scheme(masks, k0=k0, N=N), initial, k0 + levels, cert)
     assert got == want
+
+
+def loop_windows(scheme, initial, depth):
+    """The windows of levels initial.level + 1 to ``depth`` as ``apply``
+    refines whole windows, or the error and message it raises."""
+    windows, w = [], initial.window
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(initial.level, depth):
+                w = apply(scheme.mask_at(k), w)
+                windows.append((w.start, w.values.view(np.int64).tolist()))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return windows
+
+
+# Masks of any signs, zeros inside: every coefficient negative, so that
+# every product with +0.0 is -0.0, or one end tap alone positive, which a
+# partial sum at a level's end leaves out; and 4-point masks, whose end
+# taps are negative.
+signed_masks = st.builds(
+    Mask, st.integers(-3, 2),
+    st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0),
+             min_size=1, max_size=5))
+# A mask with an inf or NaN coefficient, which has no rule to cross-check;
+# drawn for the last level only, so that no cross-check reads its NaN.
+nonfinite_masks = st.builds(
+    lambda m, i, c: Mask(m.base, m.coeffs[:i] + (c,) + m.coeffs[i:]),
+    signed_masks, st.integers(0, 5), st.sampled_from([np.inf, -np.inf, np.nan]))
+four_point_masks = st.builds(
+    lambda w: Mask(-3, (-w, 0.0, 0.5 + w, 1.0, 0.5 + w, 0.0, -w)), st.floats(1e-3, 0.2))
+# Data of long +0.0 or -0.0 runs between short runs of other values.
+zero_run_values = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, -0.0]), st.integers(1, 60)).map(lambda z: [z[0]] * z[1])
+    | st.lists(st.just(-0.0) | st.floats(-1.0, 1.0), min_size=1, max_size=4),
+    min_size=1, max_size=6).map(lambda runs: [x for run in runs for x in run])
+
+
+@settings(derandomized, max_examples=150)
+@given(st.integers(0, 2), st.integers(1, 5), st.data())
+def test_refined_windows_are_apply_bits(k0, levels, data):
+    """refine_once a level at a time and limit_sample in one pass, with
+    blocks of 16 values so that a level spans many steps and long +0.0 runs
+    fill whole steps, give the values of ``apply`` on whole windows bit for
+    bit, signed zeros included, or raise its error with its message."""
+    finite = run_masks | signed_masks | four_point_masks
+    masks = data.draw(st.lists(finite, min_size=levels - 1, max_size=levels - 1))
+    masks.append(data.draw(finite | nonfinite_masks))
+    start = data.draw(st.integers(-20, 20))
+    values = data.draw(zero_run_values)
+    N = max(max(-m.base, m.base + len(m) - 1) for m in masks)
+    initial = RefinementState(k0, Window(start, values))
+    want = loop_windows(table_scheme(masks, k0=k0, N=N), initial, k0 + levels)
+    with mock.patch.object(operators, "_BLOCK", 16):
+        scheme = table_scheme(masks, k0=k0, N=N)
+        try:
+            got, state = [], initial
+            for _ in range(levels):
+                state = refine_once(state, scheme)
+                got.append((state.window.start, state.window.values.view(np.int64).tolist()))
+        except Exception as exc:
+            got = type(exc), str(exc)
+        assert got == want
+        try:
+            sample = limit_sample(table_scheme(masks, k0=k0, N=N), initial, k0 + levels)
+            last = round(sample.xs[0] * 2.0 ** sample.level), sample.values.view(np.int64).tolist()
+        except Exception as exc:
+            last = type(exc), str(exc)
+    assert last == (want[-1] if isinstance(want, list) else want)

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from subdiv import catalog, operators
+from subdiv import catalog, operators, refine
 from subdiv.errors import EmptyOutput, InvalidParameter, OutOfDomain
 from subdiv.masks import LINEAR_BSPLINE, Mask, difference_mask
 from subdiv.operators import Window, apply
@@ -284,6 +285,48 @@ def test_limit_sample_figure_family_ordering():
         s = catalog.derham_nonstationary(2.0, alpha=alpha)
         peaks.append(limit_sample(s, impulse(8, level=1), 12).peak)
     assert all(peaks[i] > peaks[i + 1] for i in range(len(peaks) - 1))
+
+
+def _step_counts(monkeypatch, scheme, initial, depth):
+    """Refine ``initial`` to ``depth`` with blocks of 16 values and give, a
+    level at a time: its steps, its mask's convolutions of data that hold
+    a nonzero bit, and those of data that are all +0.0."""
+    monkeypatch.setattr(operators, "_BLOCK", 16)
+    steps, calls, zero_calls = Counter(), Counter(), Counter()
+    convolve, level_refine = refine._Stencil.convolve, refine._Level.refine
+
+    def counted_convolve(self, up):
+        (calls if up.view(np.int64).any() else zero_calls)[self] += 1
+        return convolve(self, up)
+
+    def counted_refine(self, *args):
+        for chunk in level_refine(self, *args):  # every level emits its steps
+            steps[self.mask] += 1
+            yield chunk
+
+    monkeypatch.setattr(refine._Stencil, "convolve", counted_convolve)
+    monkeypatch.setattr(refine._Level, "refine", counted_refine)
+    limit_sample(scheme, initial, depth)
+    return [(steps[m], calls[m], zero_calls[m]) for m in steps]
+
+
+def test_zero_steps_take_no_convolution(monkeypatch):
+    """A step that reads only +0.0, away from a level's ends, yields +0.0
+    without a convolution.  An impulse padded to halfwidth 64 is about 80%
+    +0.0 at every level, yet each level convolves only its steps that read
+    a nonzero value and at most four at its two ends, whose reads are
+    clamped.  Constant data take a convolution on every step."""
+    scheme = catalog.derham_nonstationary(2.0, alpha=1.5)
+    levels = _step_counts(monkeypatch, scheme, impulse(64, level=1), 7)
+    assert len(levels) == 6
+    for steps, calls, zero_calls in levels:
+        assert zero_calls <= 4
+        assert calls + zero_calls <= steps
+    steps, calls, zero_calls = levels[-1]
+    assert steps >= 500 and calls + zero_calls <= steps // 20
+    for steps, calls, zero_calls in _step_counts(monkeypatch, scheme,
+                                                 constant(1.0, 64, level=1), 7):
+        assert (calls, zero_calls) == (steps, 0)
 
 
 def test_empty_output_on_narrow_window():

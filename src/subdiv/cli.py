@@ -35,7 +35,7 @@ from .errors import (
     TailNotReached,
 )
 from .masks import parity_sums, reproduces_constants, sup_norm
-from .operators import block_ranges, check_budget, condition_a_search, contraction_scan
+from .operators import check_budget, condition_a_search, contraction_scan
 from .schemes import (
     ConvergenceCertificate,
     boundedness_estimate,
@@ -114,14 +114,14 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
 
     ``blocks`` yields tuples of equal-length columns (sequences or arrays
     of numbers).  They are written by column, one join per run of at most
-    ``block_ranges``' rows, so no more than one run's strings and Python
-    numbers are alive at a time.
+    ``refine.block_ranges``' rows, so no more than one run's strings and
+    Python numbers are alive at a time.
     """
     row = ",".join(["{}"] * len(header)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
-            for a, b in block_ranges(0, len(columns[0])):
+            for a, b in refine.block_ranges(0, len(columns[0])):
                 fh.write("".join(map(row.format, *(_cells(c[a:b]) for c in columns))))
 
 

@@ -113,12 +113,6 @@ def product_bytes(N: int, n: int) -> int:
     return _PRODUCT_BYTES * 2 * N << min(n, 64)
 
 
-# Values per block in the blocked passes over a window: input values in
-# ``apply``, indices in the per-level scans of ``refine``.  The only
-# window-sized arrays a pass keeps alive are the ones it reads and writes;
-# a block's temporaries stay small.  On a 2-vCPU Xeon VM, 2**15 ran a
-# level-19 decay_report a little faster than 2**14 or 2**16.
-_BLOCK = 2**15
 # Coefficients per block of ``product_blocks``: 1 MiB of rows, whose norms
 # ``masks.class_norms`` takes in one pass over the block.
 _PRODUCT_BLOCK = 2**17
@@ -139,39 +133,6 @@ def product_blocks(rules: np.ndarray, n: int):
     step = max(1, _PRODUCT_BLOCK // width)
     for a in range(0, len(rules) - n + 1, step):
         yield product_rows(rules[a : a + step + n - 1], n)
-
-
-def block_ranges(lo: int, hi: int):
-    """Consecutive half-open ranges ``(a, b)`` of at most ``_BLOCK``
-    indices that cover ``[lo, hi)``."""
-    return ((a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK))
-
-
-def _valid_pieces(coeffs: np.ndarray, values: np.ndarray, arity: int):
-    """Yield the valid output of ``apply`` in consecutive pieces, one per
-    block of input values (needs ``len(coeffs) >= arity``).
-
-    Each block is zero-stuffed and convolved on its own, together with the
-    ``reach`` input values before it and the one after it.  So an output
-    it yields is a full-stencil sum in the block exactly when it is one in
-    a whole-window ``np.convolve``, over the same stuffed values, and numpy
-    computes such sums bit for bit alike.  The first and the last block end
-    at the true ends of the window, where numpy's partial sums match the
-    whole-window call as well.
-    """
-    n, L = len(values), len(coeffs)
-    reach = -(-(L - 1) // arity)
-    step = max(_BLOCK, reach)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        first, last = max(a - reach, 0), min(b + 1, n)
-        up = np.zeros(arity * (last - first - 1) + 1)
-        up[::arity] = values[first:last]
-        conv = np.convolve(up, coeffs)
-        # conv[q] is the whole-window convolution at arity*first + q, whose
-        # valid part runs from L - arity to arity*n.
-        lo = arity * a if a else L - arity
-        yield conv[lo - arity * first : arity * (b - first)]
 
 
 def output_span(m: Mask, start: int, stop: int, arity: int = 2) -> tuple[int, int]:
@@ -205,25 +166,19 @@ def apply(m: Mask, f: Window, arity: int = 2) -> Window:
     fully supported value.
     """
     out_lo, n_out = output_span(m, f.start, f.stop, arity)
-    coeffs = np.asarray(m.coeffs)
-    if len(m) < arity:
-        # Mask shorter than the arity: the extreme valid indices have an
-        # empty stencil and are zero.
-        up = np.zeros(arity * (len(f) - 1) + 1)
-        up[::arity] = f.values
-        conv = np.convolve(up, coeffs)
-        del up
-        out = np.zeros(n_out)
-        out[arity - len(m) : arity - len(m) + len(conv)] = conv
-    elif len(f) <= _BLOCK:
-        # one block: keep its piece of the convolution rather than copy it
-        (out,) = _valid_pieces(coeffs, f.values, arity)
+    up = np.zeros(arity * (len(f) - 1) + 1)
+    up[::arity] = f.values
+    conv = np.convolve(up, np.asarray(m.coeffs))
+    del up
+    # conv[q] is the output at index arity * f.start + m.base + q
+    lo = len(m) - arity
+    if lo >= 0:
+        out = conv[lo : lo + n_out]
     else:
-        out = np.empty(n_out)
-        pos = 0
-        for piece in _valid_pieces(coeffs, f.values, arity):
-            out[pos : pos + len(piece)] = piece
-            pos += len(piece)
+        # mask shorter than the arity: the extreme valid indices have an
+        # empty stencil and are +0.0
+        out = np.zeros(n_out)
+        out[-lo : -lo + len(conv)] = conv
     return Window._adopt(out_lo, out)
 
 
@@ -265,36 +220,28 @@ def residue_class_norm(m: Mask, arity: int) -> float:
     return class_norm(stencil(m), arity)
 
 
-def _compose_next(held, rule):
-    """The step of every level-ordered product: the next level's rule
-    composed onto the held product as the outer factor, q(z) * P(z**2)."""
-    return compose_coeffs(rule, held, 2)
-
-
 def products(rules: Sequence[tuple[int, Sequence[float]]]):
     """The stencils of the products of the first 1, 2, ... arity-2 rules,
     given as stencils, in level order, the first rule acting first, as an
-    iterator."""
-    return itertools.accumulate(rules, _compose_next)
-
-
-def _product(rules: Sequence[tuple[int, Sequence[float]]]) -> tuple[int, Sequence[float]]:
-    """Stencil of the product of all the rules, given as stencils, in level
-    order."""
-    if not rules:
-        raise InvalidParameter("empty operator product")
-    return functools.reduce(_compose_next, rules)
+    iterator: each step composes the next level's rule onto the held
+    product as the outer factor, q(z) * P(z**2)."""
+    return itertools.accumulate(rules, lambda held, rule: compose_coeffs(rule, held, 2))
 
 
 def compose_all(masks: Sequence[Mask]) -> ProductOperator:
-    """Compose arity-2 rules; the LAST mask in the list acts first."""
-    base, coeffs = _product([stencil(m) for m in masks[::-1]])
-    return ProductOperator(Mask(base, coeffs), len(masks))
+    """Compose arity-2 rules; the LAST mask in the list acts first.  Each
+    step composes the next rule onto the held product as the outer factor,
+    as ``products`` does."""
+    if not masks:
+        raise InvalidParameter("empty operator product")
+    return functools.reduce(lambda held, rule: compose(rule, held),
+                            map(ProductOperator, masks[::-1]))
 
 
 def product_norm(masks: Sequence[Mask]) -> float:
     """Sup-norm of the composed operator; the last mask acts first."""
-    return class_norm(_product([stencil(m) for m in masks[::-1]]), 2 ** len(masks))
+    op = compose_all(masks)
+    return residue_class_norm(op.mask, op.arity)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import operators
 from .errors import InvalidParameter, NotConstantReproducing, OutOfDomain
 from .masks import TOL, Mask
-from .operators import Window, block_ranges, output_span
+from .operators import Window, output_span
 from .schemes import ConvergenceCertificate, SchemeSpec
+
+# Indices per block in the passes over a level: the values a step of the
+# depth-first pass refines are at most half a block, and the scans of
+# ``delta_sup``, ``pl_gap`` and the CLI's CSV rows take a block at a time.
+# The only window-sized arrays a pass keeps alive are the ones it reads and
+# writes; a block's temporaries stay small.  On a 2-vCPU Xeon VM, 2**15 ran
+# a level-19 decay_report a little faster than 2**14 or 2**16.
+_BLOCK = 2**15
+
+
+def block_ranges(lo: int, hi: int):
+    """Consecutive half-open ranges ``(a, b)`` of at most ``_BLOCK``
+    indices that cover ``[lo, hi)``."""
+    return ((a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +84,9 @@ def impulse(halfwidth: int = 8, level: int = 0) -> RefinementState:
 
 
 def constant(value: float = 1.0, halfwidth: int = 8, level: int = 0) -> RefinementState:
+    """``value`` on [-halfwidth, halfwidth]."""
+    if halfwidth < 1:
+        raise InvalidParameter("halfwidth must be at least 1")
     return RefinementState(level, Window(-halfwidth, np.full(2 * halfwidth + 1, value)))
 
 
@@ -132,7 +148,7 @@ class _Work:
     def __init__(self, N: int, longest: int):
         self.ahead = N + 1
         self.back = 2 * N + 3
-        span = min(longest, operators._BLOCK // 2 + 1) + self.back + self.ahead + N + 3
+        span = min(longest, _BLOCK // 2 + 1) + self.back + self.ahead + N + 3
         self.up = np.zeros(2 * span)  # the odd entries stay zero
         self.tmp = np.empty(2 * span)
         self._zeros = None
@@ -188,11 +204,11 @@ class _Level:
         refines the values it owns, at most ``_BLOCK // 2`` of them, into the
         outputs they own: every output but those at the ends of a level is
         a full-stencil sum, which numpy computes bit for bit as ``apply``
-        does, and the two ends are the partial sums of ``apply``'s first
-        and last block.  So neither the values nor the maxima depend on
-        how the levels are blocked.  A step away from the ends that reads
-        only +0.0, under a mask that ``keeps_zero``, takes no convolution:
-        its outputs are +0.0 all the same.
+        does, and the two ends are the partial sums at the ends of
+        ``apply``'s whole-window convolution.  So neither the values nor
+        the maxima depend on how the levels are blocked.  A step away from
+        the ends that reads only +0.0, under a mask that ``keeps_zero``,
+        takes no convolution: its outputs are +0.0 all the same.
         """
         lo, hi, olo, ohi = self.lo, self.hi, self.olo, self.ohi
         m, q, back, ahead = self.mask, self.rule, work.back, work.ahead
@@ -213,7 +229,7 @@ class _Level:
             n, first = end - A, A
             if n <= 0:
                 continue
-            steps = -(-n // max(operators._BLOCK // 2, 1))
+            steps = -(-n // max(_BLOCK // 2, 1))
             for s in range(1, steps + 1):
                 B = first + n * s // steps
                 A0, B1 = max(A - back, lo), min(B + ahead, hi)
@@ -391,7 +407,7 @@ def pl_gap(coarse: Window, fine: Window) -> float:
     """
     lo = max(fine.start, 2 * coarse.start)
     hi = min(fine.stop, 2 * coarse.stop - 1)
-    gap, tmp = 0.0, np.empty(min(max(hi - lo, 0), operators._BLOCK) // 2 + 1)
+    gap, tmp = 0.0, np.empty(min(max(hi - lo, 0), _BLOCK) // 2 + 1)
     for a, b in block_ranges(lo, hi):
         gap = np.maximum(
             gap, _span_gap(coarse.values, coarse.start, fine.values, fine.start, a, b, tmp)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -653,40 +653,33 @@ class ConvergenceCertificate:
         scan = obj.get("scan", {})
         if not isinstance(scan, dict):
             raise ValueError(f"certificate field 'scan' must be an object, got {scan!r}")
-        cert = cls(
-            mu_star=_number(obj, "mu_star"), n=_typed(obj, "n", int),
-            K=_typed(obj, "K", int), mu=_number(obj, "mu"),
-            mu_hat=_number(obj, "mu_hat"), eta=_number(obj, "eta"),
-            C1=_number(obj, "C1"), C2=_number(obj, "C2"),
-            Gamma=_number(obj, "Gamma"), C=_number(obj, "C"),
-            holder_exponent=_number(obj, "holder_exponent"),
-            provenance=_typed(obj, "provenance", str),
-            windowed=_typed(obj, "windowed", bool),
-            meta=dict(scan),
-        )
+        cert = cls(**{f.name: _field(obj, f.name, f.type) for f in fields(cls)
+                      if f.name != "meta"}, meta=dict(scan))
         if not 0.0 < cert.mu_hat < 1.0:
             raise ValueError(f"certificate mu_hat = {cert.mu_hat!r} is outside (0, 1)")
         return cert
 
 
-def _typed(obj: dict, key: str, kind: type):
-    """``obj[key]``, which must be a JSON value of Python type ``kind``."""
+# The Python types of the certificate's JSON fields other than numbers
+_JSON_TYPES = {"int": int, "str": str, "bool": bool}
+
+
+def _field(obj: dict, key: str, kind: str):
+    """``obj[key]``, which must be a JSON value of the field type ``kind``
+    (a name, under postponed annotations): a finite number, as a float, for
+    ``float``."""
     value = obj[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"certificate field {key!r} must be a {kind.__name__}, got {value!r}")
+    if kind == "float":
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"certificate field {key!r} must be a finite number, got {value!r}")
+        return float(value)
+    if not isinstance(value, _JSON_TYPES[kind]) or (kind == "int" and isinstance(value, bool)):
+        raise ValueError(f"certificate field {key!r} must be a {kind}, got {value!r}")
     return value
-
-
-def _number(obj: dict, key: str) -> float:
-    """``obj[key]`` as a finite float."""
-    value = obj[key]
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"certificate field {key!r} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _c1(best: float, mu_hat: float, levels: int) -> float:

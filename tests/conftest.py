@@ -30,7 +30,8 @@ def brute_apply(m: Mask, f: Window, arity: int = 2) -> Window:
     lo, hi = f.start, f.stop - 1
     mb, mt = m.support
     values = {}
-    for i in range(arity * lo + mb - 4, arity * hi + mt + 5):
+    # every index that the valid range can reach, with a margin of one
+    for i in range(arity * lo + mb - arity, arity * hi + mt + arity + 1):
         jmin = math.ceil((i - mt) / arity)
         jmax = math.floor((i - mb) / arity)
         if jmin < lo or jmax > hi:

@@ -712,6 +712,8 @@ def one_record(text: str) -> dict:
                  3, "ok", None, "InvalidParameter", id="refine"),
     pytest.param(["refine", "--scheme", "chaikin", "--initial", "one.json"],
                  3, "ok", None, "EmptyOutput", id="refine-empty-output"),
+    pytest.param(["refine", "--scheme", "chaikin", "--initial", "ones", "--halfwidth", "-1"],
+                 3, "ok", None, "InvalidParameter", id="refine-ones-halfwidth"),
     pytest.param(["figure", "1", "--levels", "60"], 3, "ok", None, "InvalidParameter",
                  id="figure1-levels"),
     pytest.param(["figure", "1", "--gamma", "nan"], 3, "ok", None, "InvalidParameter",

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subdiv import operators
+from subdiv import refine
 from subdiv.errors import InvalidParameter, NotConstantReproducing
 from subdiv.masks import (
     NOT_REPRODUCING,
@@ -474,7 +474,7 @@ def test_decay_pipeline_is_whole_window_loop(k0, levels, data):
     N = max([max(-m.base, m.base + len(m) - 1) for m in masks if not m.is_zero] + [1])
     initial = RefinementState(k0, Window(start, values))
     want = loop_decay_report(table_scheme(masks, k0=k0, N=N), initial, k0 + levels, cert)
-    with mock.patch.object(operators, "_BLOCK", 16):
+    with mock.patch.object(refine, "_BLOCK", 16):
         # a fresh scheme, so its level table is read as the pass reads it
         got = pipeline_outcome(table_scheme(masks, k0=k0, N=N), initial, k0 + levels, cert)
     assert got == want
@@ -531,7 +531,7 @@ def test_refined_windows_are_apply_bits(k0, levels, data):
     N = max(max(-m.base, m.base + len(m) - 1) for m in masks)
     initial = RefinementState(k0, Window(start, values))
     want = loop_windows(table_scheme(masks, k0=k0, N=N), initial, k0 + levels)
-    with mock.patch.object(operators, "_BLOCK", 16):
+    with mock.patch.object(refine, "_BLOCK", 16):
         scheme = table_scheme(masks, k0=k0, N=N)
         try:
             got, state = [], initial

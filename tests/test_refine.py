@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from subdiv import catalog, operators, refine
+from subdiv import catalog, refine
 from subdiv.errors import EmptyOutput, InvalidParameter, OutOfDomain
 from subdiv.masks import LINEAR_BSPLINE, Mask, difference_mask
 from subdiv.operators import Window, apply
@@ -72,12 +72,12 @@ def test_cross_check_catches_rule_error_in_any_block(monkeypatch, spike):
     """A difference rule off by 1e-9 in one coefficient is caught wherever
     the data that exposes it sits: in the first, a middle or the last of the
     blocks the cross-check walks."""
-    monkeypatch.setattr(operators, "_BLOCK", 16)
+    monkeypatch.setattr(refine, "_BLOCK", 16)
     scheme = catalog.chaikin()
     values = np.zeros(101)
     values[spike] = 1.0
     st = RefinementState(0, Window(-50, values))
-    assert len(refine_once(st, scheme).window) >= 3 * operators._BLOCK
+    assert len(refine_once(st, scheme).window) >= 3 * refine._BLOCK
     q = difference_mask(scheme.mask_at(0))
     off = Mask(q.base, (q.coeffs[0] + 1e-9, *q.coeffs[1:]))
     monkeypatch.setattr(SchemeSpec, "difference_mask_at", lambda self, k: off)
@@ -291,7 +291,7 @@ def _step_counts(monkeypatch, scheme, initial, depth):
     """Refine ``initial`` to ``depth`` with blocks of 16 values and give, a
     level at a time: its steps, its mask's convolutions of data that hold
     a nonzero bit, and those of data that are all +0.0."""
-    monkeypatch.setattr(operators, "_BLOCK", 16)
+    monkeypatch.setattr(refine, "_BLOCK", 16)
     steps, calls, zero_calls = Counter(), Counter(), Counter()
     convolve, level_refine = refine._Stencil.convolve, refine._Level.refine
 
@@ -423,7 +423,7 @@ def test_errors_come_in_level_order(monkeypatch, block, run, error, message):
     level, with its message, however the levels are blocked: the errors of
     every level a run sets up, or that its data or masks cause, wait until
     the levels before them pass their checks."""
-    monkeypatch.setattr(operators, "_BLOCK", block)
+    monkeypatch.setattr(refine, "_BLOCK", block)
     with pytest.raises(error) as info:
         run()
     assert str(info.value) == message
@@ -443,7 +443,7 @@ def test_errors_come_in_level_order(monkeypatch, block, run, error, message):
 def test_wrong_rule_is_caught_at_its_level(monkeypatch, block, run, err):
     """A difference rule off by 1e-9 at level 7 raises there, with the
     largest disagreement over the level's every index."""
-    monkeypatch.setattr(operators, "_BLOCK", block)
+    monkeypatch.setattr(refine, "_BLOCK", block)
     monkeypatch.setattr(SchemeSpec, "difference_mask_at", _rule_off_at(7))
     with pytest.raises(RuntimeError) as info:
         run()

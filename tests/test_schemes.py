@@ -519,6 +519,31 @@ def test_certificate_json_roundtrip():
     )
 
 
+def test_certificate_from_dict_names_first_bad_field():
+    """from_dict checks the fields in their declared order, after 'scan',
+    and names the first bad one: a bool is no int, and a number must be
+    finite."""
+    good = certify_theorem4(catalog.chaikin(), catalog.chaikin()).to_dict()
+    cases = [
+        ({"n": True}, "certificate field 'n' must be a int, got True"),
+        ({"K": 1.0}, "certificate field 'K' must be a int, got 1.0"),
+        ({"mu": math.inf}, "certificate field 'mu' must be a finite number, got inf"),
+        ({"C1": True}, "certificate field 'C1' must be a finite number, got True"),
+        ({"provenance": 3}, "certificate field 'provenance' must be a str, got 3"),
+        ({"windowed": 1}, "certificate field 'windowed' must be a bool, got 1"),
+        ({"windowed": 1, "mu_star": "x"},
+         "certificate field 'mu_star' must be a finite number, got 'x'"),
+        ({"mu_star": "x", "scan": []}, "certificate field 'scan' must be an object, got []"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError) as exc:
+            ConvergenceCertificate.from_dict({**good, **bad})
+        assert str(exc.value) == message
+    del good["eta"]
+    with pytest.raises(KeyError, match="eta"):
+        ConvergenceCertificate.from_dict(good)
+
+
 def test_certify_stationary_sweep_all_n1():
     for gamma in (0.5, 1.0, 1.5, 2.0, 4.0):
         s = catalog.derham_stationary(gamma)

@@ -58,9 +58,11 @@ FIGURE2_ITERATIONS = (8, 12, 16)
 # computes, not what it holds: refine holds a few blocks a level
 # (tracemalloc: 3.7 MB for refine --levels 20, charged 204 MiB), and
 # figure its final windows.  figure --out is charged 36 bytes a value: it
-# also keeps traces and writes CSV strings 2**15 rows at a time
-# (tracemalloc: 34.1 for figure 1 --levels 14 --out, where those strings
-# are a large share, and 15.4 for figure 2 --out).
+# also keeps traces, or figure 1's five windows and one x grid, and writes
+# CSV strings 2**15 rows at a time (tracemalloc: 28.3 for figure 1
+# --levels 18 --out, 47.9 at --levels 14, where those strings are a large
+# share, and 15.3 for figure 2 --out; the console script's figure 1
+# --levels 18 --out peaks at 153 MB RSS).
 _ARRAY_BYTES = 12
 _ROW_BYTES = 36
 # Bytes analyze holds per listed level besides the scheme's level table:
@@ -102,27 +104,56 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 
 def _cells(column) -> list[str]:
-    """The CSV fields of a column: each value's repr, or "" for None."""
+    """The CSV fields of a column: each value's repr, or "" for None.
+
+    An array of 8-byte numbers takes one repr per distinct bit pattern,
+    gathered back through ``np.unique``'s inverse.  Keys are the bits, not
+    the values: +0.0 and -0.0 compare equal but print differently, and
+    NaNs compare unequal to each other.  Figure columns are mostly +0.0,
+    so most of their reprs are shared.
+    """
+    if isinstance(column, np.ndarray) and column.itemsize == 8:
+        keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        text = np.array(list(map(repr, keys.view(column.dtype).tolist())), dtype=object)
+        return text[inverse].tolist()
     values = column.tolist() if isinstance(column, np.ndarray) else column
     if None in values:
         return ["" if v is None else repr(v) for v in values]
     return list(map(repr, values))
 
 
-def _write_csv(path: str, header: list[str], blocks) -> None:
-    """Write CSV with the bytes ``csv.writer`` gives for these fields.
+def _write_runs(files, tables) -> None:
+    """Write each table, a tuple of equal-length columns (sequences or
+    arrays of numbers), to its file as CSV rows, all tables in lockstep.
 
-    ``blocks`` yields tuples of equal-length columns (sequences or arrays
-    of numbers).  They are written by column, one join per run of at most
+    The rows go by column, one join per run of at most
     ``refine.block_ranges``' rows, so no more than one run's strings and
-    Python numbers are alive at a time.
+    Python numbers are alive at a time.  A column that the table before
+    also holds (the same object) reuses that table's fields of the run.
     """
-    row = ",".join(["{}"] * len(header)) + "\r\n"
+    for a, b in refine.block_ranges(0, max(len(columns[0]) for columns in tables)):
+        last = {}
+        for fh, columns in zip(files, tables):
+            if a < len(columns[0]):
+                last = {id(c): last[id(c)] if id(c) in last else _cells(c[a:b])
+                        for c in columns}
+                fh.write("\r\n".join(map(",".join, zip(*(last[id(c)] for c in columns))))
+                         + "\r\n")
+
+
+def _write_csv(path: str, header: list[str], blocks) -> None:
+    """Write CSV with the bytes ``csv.writer`` gives for these fields, in
+    rows of at least two (it quotes a row of one empty field).
+
+    ``blocks`` yields the tables of ``_write_runs``, written one after
+    another.  A field is the repr of its value, formatted once per distinct
+    bit pattern of a run (``_cells``): by bits, since +0.0 and -0.0 are
+    equal values with different reprs, and a NaN equals no value.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
-            for a, b in refine.block_ranges(0, len(columns[0])):
-                fh.write("".join(map(row.format, *(_cells(c[a:b]) for c in columns))))
+            _write_runs([fh], [columns])
 
 
 def _load_scheme(text: str):
@@ -303,15 +334,29 @@ def cmd_figure(args) -> int:
     _check_memory(2 * args.halfwidth + 1, 1, args.levels,
                   _ROW_BYTES if args.out else _ARRAY_BYTES)
     if args.which == "1":
-        peaks = []
+        # refine all five before writing, so a failure leaves no file
+        peaks, columns = [], []
         for alpha in FIGURE1_ALPHAS:
             scheme = catalog.derham_nonstationary(args.gamma, alpha=alpha)
             state = refine.impulse(args.halfwidth, level=scheme.k0)
             sample = refine.limit_sample(scheme, state, args.levels)
             peaks.append((alpha, sample.peak))
             if args.out:
-                path = f"{args.out}_alpha_{alpha:+.1f}.csv"
-                _write_csv(path, ["x", "value"], [(sample.xs, sample.values)])
+                # the masks of one gamma share their supports, so in
+                # practice the five grids are one, held once
+                xs = next((x for x, _ in columns
+                           if np.array_equal(x.view(np.uint64), sample.xs.view(np.uint64))),
+                          sample.xs)
+                columns.append((xs, sample.values))
+            del sample
+        if args.out:
+            with contextlib.ExitStack() as stack:
+                files = [stack.enter_context(open(f"{args.out}_alpha_{alpha:+.1f}.csv", "w",
+                                                  encoding="utf-8", newline=""))
+                         for alpha in FIGURE1_ALPHAS]
+                for fh in files:
+                    fh.write("x,value\r\n")
+                _write_runs(files, columns)
         for alpha, peak in peaks:
             print(f"alpha = {alpha:+.1f}: peak = {peak!r}")
         return EXIT_OK
@@ -437,7 +482,10 @@ def main(argv=None) -> int:
         print(f"{'inconclusive' if inconclusive else 'error'}: {reason['type']}: {exc}",
               file=sys.stderr)
         if isinstance(exc, EmptyOutput):
-            print("hint: enlarge --halfwidth", file=sys.stderr)
+            # name the option that set the window: figure has no --initial
+            from_file = getattr(args, "initial", "delta") not in ("delta", "ones")
+            print(f"hint: enlarge {'the --initial window' if from_file else '--halfwidth'}",
+                  file=sys.stderr)
         if isinstance(exc, ContractionNotFound) and exc.scan:
             n, K, mu = min(exc.scan, key=lambda cell: cell[2])
             print(f"closest miss: mu = {mu!r} at n = {n}, K = {K}", file=sys.stderr)

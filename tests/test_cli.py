@@ -1,6 +1,8 @@
 import argparse
 import collections
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,14 +11,19 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import subdiv
-from subdiv import cli, schemes
+from subdiv import cli, refine, schemes
 from subdiv.cli import main
 
 
@@ -311,16 +318,98 @@ def test_figure1(tmp_path, capsys):
     assert peaks == sorted(peaks, reverse=True)
 
 
+FIGURE1_DIGESTS = {
+    "fig1_alpha_+2.5.csv": "aa62b0bab61647f7d7460d8dd16d0985482216717273755fcf6e0f6c7dd76ce5",
+    "fig1_alpha_+1.5.csv": "bdd3836f1884c4a515ca404891fd1f58e5d8118249e6f66304b095083981a1f5",
+    "fig1_alpha_+0.5.csv": "b6e3832eed8f81e5ff19a7cc1fa987d98b9755f0b2cdad51c2d50cda6dbfeadd",
+    "fig1_alpha_-0.5.csv": "93ad228d24b838d0b25536ce1d8a755e1a562acf52ffe0c5505335c834226c77",
+    "fig1_alpha_-1.5.csv": "564c94b916a33a03c7dfd59e4e4c13cb468ed9b66f249d4048f7c625163d96a6",
+}
+
+
 def test_figure1_golden_digests(tmp_path):
     prefix = tmp_path / "fig1"
     assert run(["figure", "1", "--levels", "12", "--out", str(prefix)]) == 0
-    assert {p.name: sha256(p) for p in tmp_path.glob("fig1_alpha_*.csv")} == {
-        "fig1_alpha_+2.5.csv": "aa62b0bab61647f7d7460d8dd16d0985482216717273755fcf6e0f6c7dd76ce5",
-        "fig1_alpha_+1.5.csv": "bdd3836f1884c4a515ca404891fd1f58e5d8118249e6f66304b095083981a1f5",
-        "fig1_alpha_+0.5.csv": "b6e3832eed8f81e5ff19a7cc1fa987d98b9755f0b2cdad51c2d50cda6dbfeadd",
-        "fig1_alpha_-0.5.csv": "93ad228d24b838d0b25536ce1d8a755e1a562acf52ffe0c5505335c834226c77",
-        "fig1_alpha_-1.5.csv": "564c94b916a33a03c7dfd59e4e4c13cb468ed9b66f249d4048f7c625163d96a6",
-    }
+    assert {p.name: sha256(p) for p in tmp_path.glob("fig1_alpha_*.csv")} == FIGURE1_DIGESTS
+
+
+def test_figure1_golden_digests_across_blocks(tmp_path, monkeypatch):
+    """With blocks of 4 rows, the five files are written in lockstep over
+    thousands of blocks (level 12 fits one block of the default size), and
+    refined in steps of 2 values: the same bytes."""
+    monkeypatch.setattr(refine, "_BLOCK", 4)
+    prefix = tmp_path / "fig1"
+    assert run(["figure", "1", "--levels", "12", "--out", str(prefix)]) == 0
+    assert {p.name: sha256(p) for p in tmp_path.glob("fig1_alpha_*.csv")} == FIGURE1_DIGESTS
+
+
+def test_figure1_failure_writes_no_file(tmp_path, capsys):
+    """At gamma 1 the ratio of alpha -0.5 is negative: all five schemes are
+    refined before the first file is opened, so no file is left."""
+    assert run(["figure", "1", "--gamma", "1.0", "--levels", "6",
+                "--out", str(tmp_path / "fig1")]) == 3
+    assert "InvalidParameter" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+NAN = float("nan")
+# values whose reprs are easy to get wrong: signed zeros and NaNs, whose
+# bit patterns differ while they compare equal or unequal, a NaN payload,
+# infinities, subnormals, and the edges of repr's switch to exponents
+TRICKY_FLOATS = [
+    0.0, -0.0, NAN, -NAN, np.uint64(0x7FF8000000000001).view(np.float64).item(),
+    math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+    1e-4, 9.999999999999999e-05, 1.0000000000000002e-04, -1e-4,
+    1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16, 0.1, 1.0, -2.5,
+]
+any_floats = st.sampled_from(TRICKY_FLOATS) | st.floats()
+any_ints = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def csv_column(draw, n: int):
+    """A column of ``n`` fields, of one of the kinds the commands write."""
+    kind = draw(st.sampled_from(["floats", "ints", "constant", "list"]))
+    if kind == "constant":
+        return np.full(n, draw(any_floats | any_ints))
+    if kind == "list":
+        return draw(st.lists(st.none() | any_floats | any_ints, min_size=n, max_size=n))
+    # a small pool, so that values repeat
+    pool = draw(st.lists(any_floats if kind == "floats" else any_ints, min_size=1, max_size=5))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                    dtype=np.float64 if kind == "floats" else np.int64)
+
+
+@st.composite
+def csv_tables(draw):
+    # csv.writer quotes a row of one empty field, which no command writes
+    width = draw(st.integers(2, 4))
+    blocks = [tuple(draw(csv_column(n)) for _ in range(width))
+              for n in draw(st.lists(st.integers(0, 13), max_size=4))]
+    return [f"c{i}" for i in range(width)], blocks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csv_tables())
+# both zeros and both NaNs within one run of 4 rows
+@example((["x", "y"], [(np.array([0.0, -0.0, NAN, -NAN, -0.0, 0.0]),
+                        np.array([-NAN, 1e16, -0.0, 0.0, 0.0, 1e16]))]))
+def test_write_csv_is_csv_writer(table):
+    """_write_csv, with blocks of 4 rows so that columns split, writes the
+    bytes csv.writer gives for the same fields: repr of each number, "" for
+    None, whatever the bit pattern, repeated or not."""
+    header, blocks = table
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\r\n")
+    writer.writerow(header)
+    for columns in blocks:
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in columns)))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(refine, "_BLOCK", 4):
+        path = os.path.join(tmp, "out.csv")
+        cli._write_csv(path, header, blocks)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.getvalue().encode()
 
 
 def test_figure2(tmp_path, capsys):
@@ -677,6 +766,8 @@ def test_malformed_input_files_exit_codes(tmp_path, capsys):
 
 
 BOX_SCHEME = {"kind": "stationary", "mask": {"base": 0, "coeffs": [1.0, 1.0]}, "N": 1}
+# a mask of 16 taps, longer than the 3 values of --halfwidth 1
+LONG_SCHEME = {"kind": "stationary", "mask": {"base": -8, "coeffs": [0.0625] * 16}, "N": 8}
 
 
 def one_record(text: str) -> dict:
@@ -712,6 +803,8 @@ def one_record(text: str) -> dict:
                  3, "ok", None, "InvalidParameter", id="refine"),
     pytest.param(["refine", "--scheme", "chaikin", "--initial", "one.json"],
                  3, "ok", None, "EmptyOutput", id="refine-empty-output"),
+    pytest.param(["refine", "--scheme", "long.json", "--halfwidth", "1"],
+                 3, "ok", None, "EmptyOutput", id="refine-empty-output-halfwidth"),
     pytest.param(["refine", "--scheme", "chaikin", "--initial", "ones", "--halfwidth", "-1"],
                  3, "ok", None, "InvalidParameter", id="refine-ones-halfwidth"),
     pytest.param(["figure", "1", "--levels", "60"], 3, "ok", None, "InvalidParameter",
@@ -745,6 +838,7 @@ def test_failure_record(argv, code, verdict, path, kind, tmp_path, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "box.json").write_text(json.dumps(BOX_SCHEME))
     (tmp_path / "one.json").write_text(json.dumps({"start": 0, "values": [1.0], "level": 0}))
+    (tmp_path / "long.json").write_text(json.dumps(LONG_SCHEME))
     assert run(argv) == code
     captured = capsys.readouterr()
     if path:
@@ -757,7 +851,9 @@ def test_failure_record(argv, code, verdict, path, kind, tmp_path, monkeypatch, 
     prefix = "inconclusive" if code == 4 else "error"
     assert captured.err.splitlines() == [
         f"{prefix}: {kind}: {record['reason']['message']}",
-        *(["hint: enlarge --halfwidth"] if kind == "EmptyOutput" else []),
+        # the hint names the option that set the window
+        *([f"hint: enlarge {'the --initial window' if '--initial' in argv else '--halfwidth'}"]
+          if kind == "EmptyOutput" else []),
         # every product of the box rule's difference rule has norm 1
         *(["closest miss: mu = 1.0 at n = 1, K = 0"] if kind == "ContractionNotFound" else []),
     ]

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subdiv import refine
+from subdiv import catalog, refine
 from subdiv.errors import InvalidParameter, NotConstantReproducing
 from subdiv.masks import (
     NOT_REPRODUCING,
@@ -547,3 +547,55 @@ def test_refined_windows_are_apply_bits(k0, levels, data):
         except Exception as exc:
             last = type(exc), str(exc)
     assert last == (want[-1] if isinstance(want, list) else want)
+
+
+# Data whose scaled values stay normal: no magnitude below 1e-100 but 0.
+scalable_values = st.lists(
+    st.just(0.0) | st.floats(-1.0, 1.0).filter(lambda v: abs(v) >= 1e-100),
+    min_size=4, max_size=30)
+
+
+def derham_runs():
+    """A de Rham scheme of random gamma and alpha, a window of data at its
+    start level 1, and a depth of 5 to 8 (decay_report reads 4 levels)."""
+    return st.tuples(
+        st.builds(lambda g, a: catalog.derham_nonstationary(g, alpha=a),
+                  st.floats(1.5, 4.0), st.floats(-0.4, 3.0)),
+        st.builds(lambda start, values: RefinementState(1, Window(start, values)),
+                  st.integers(-20, 20), scalable_values),
+        st.integers(5, 8))
+
+
+def norms(scheme, initial, depth):
+    rep = decay_report(scheme, initial, depth)
+    return rep.delta_norms + rep.cauchy_norms
+
+
+@settings(derandomized, max_examples=100)
+@given(derham_runs(), st.integers(-3, 3))
+def test_power_of_two_scaling_is_exact(run, s):
+    """Scaling the data by 2**s scales every product and sum exactly, so
+    every norm of decay_report and every limit_sample value moves by 2**s,
+    bit for bit, signed zeros included."""
+    scheme, initial, depth = run
+    scaled = RefinementState(1, Window(initial.window.start, initial.window.values * 2.0**s))
+    assert norms(scheme, scaled, depth) == tuple(n * 2.0**s for n in norms(scheme, initial, depth))
+    want = limit_sample(scheme, initial, depth)
+    got = limit_sample(scheme, scaled, depth)
+    assert got.xs.view(np.int64).tolist() == want.xs.view(np.int64).tolist()
+    assert got.values.view(np.int64).tolist() == (want.values * 2.0**s).view(np.int64).tolist()
+
+
+@settings(derandomized, max_examples=100)
+@given(derham_runs())
+def test_negation_is_exact(run):
+    """Negating the data negates every value and keeps every norm, bit for
+    bit.  Zeros are compared as values: +0.0 + -0.0 is +0.0 under either
+    sign of the data."""
+    scheme, initial, depth = run
+    negated = RefinementState(1, Window(initial.window.start, -initial.window.values))
+    assert norms(scheme, negated, depth) == norms(scheme, initial, depth)
+    want = limit_sample(scheme, initial, depth).values
+    got = limit_sample(scheme, negated, depth).values
+    assert np.array_equal(got, -want)
+    assert got[got != 0].view(np.int64).tolist() == (-want[want != 0]).view(np.int64).tolist()

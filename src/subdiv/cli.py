@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +59,11 @@ FIGURE2_ITERATIONS = (8, 12, 16)
 # computes, not what it holds: refine holds a few blocks a level
 # (tracemalloc: 3.7 MB for refine --levels 20, charged 204 MiB), and
 # figure its final windows.  figure --out is charged 36 bytes a value: it
-# also keeps traces, or figure 1's five windows and one x grid, and writes
-# CSV strings 2**15 rows at a time (tracemalloc: 28.3 for figure 1
-# --levels 18 --out, 47.9 at --levels 14, where those strings are a large
-# share, and 15.3 for figure 2 --out; the console script's figure 1
-# --levels 18 --out peaks at 153 MB RSS).
+# also keeps traces, or figure 1's five windows, and builds the CSV bytes
+# of 2**15 rows at a time (tracemalloc: 24.8 for figure 1 --levels 18
+# --out, 35.8 at --levels 14, where those bytes are a large share, and
+# 10.0 for figure 2 --out; the console script's figure 1 --levels 18 --out
+# peaks at 138 MB RSS).
 _ARRAY_BYTES = 12
 _ROW_BYTES = 36
 # Bytes analyze holds per listed level besides the scheme's level table:
@@ -103,42 +104,176 @@ def _emit_json(obj: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cells(column) -> list[str]:
-    """The CSV fields of a column: each value's repr, or "" for None.
+# Figure x columns are passed as their grids and formatted from the grid
+# index J in int64 (``_dyadic_cells``): the m exact fraction digits of
+# J * 2**-m stay below 10**m, which int64 holds up to level 18.
+_GRID_LEVELS = 18
+_COMMA, _CRLF = np.frombuffer(b",", np.uint8), np.frombuffer(b"\r\n", np.uint8)
 
-    An array of 8-byte numbers takes one repr per distinct bit pattern,
-    gathered back through ``np.unique``'s inverse.  Keys are the bits, not
-    the values: +0.0 and -0.0 compare equal but print differently, and
-    NaNs compare unequal to each other.  Figure columns are mostly +0.0,
-    so most of their reprs are shared.
+
+@dataclass(frozen=True)
+class _Grid:
+    """A column of x-coordinates given by its grid: row i holds
+    ``(start + i) * 2**-level``, the float that ``RefinementState.xs``
+    computes."""
+
+    start: int
+    level: int
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def _field_bytes(texts) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 matrix, NUL-padded."""
+    fields = np.array(texts, dtype="S")
+    return fields.view(np.uint8).reshape(len(fields), fields.itemsize)
+
+
+def _repr_cells(column: np.ndarray) -> np.ndarray:
+    """The fields of an array of 8-byte numbers: one repr per distinct bit
+    pattern, gathered back through ``np.unique``'s inverse.  Keys are the
+    bits, not the values: +0.0 and -0.0 compare equal but print
+    differently, and NaNs compare unequal to each other.  Figure value
+    columns are mostly +0.0, so most of their reprs are shared."""
+    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    return _field_bytes(list(map(repr, keys.view(column.dtype).tolist())))[inverse]
+
+
+def _grid_cells(grid: _Grid, a: int, b: int) -> np.ndarray:
+    """The fields of rows [a, b) of a grid column: ``_dyadic_cells`` within
+    its domain, and elsewhere ``_repr_cells`` of the floats that
+    ``RefinementState.xs`` computes."""
+    J = np.arange(grid.start + a, grid.start + b, dtype=np.int64)
+    m = grid.level
+    A = np.abs(J)
+    exact = ((A < 2**52) & (A >= -(-(1 << m) // 10**4)) if 0 <= m <= _GRID_LEVELS
+             else np.zeros(len(J), bool))
+    if exact.all():
+        return _dyadic_cells(J, m)
+    rest = _repr_cells(np.ldexp(J[~exact].astype(float), -m))
+    if not exact.any():
+        return rest
+    fields = _dyadic_cells(J[exact], m)
+    cells = np.zeros((len(J), max(fields.shape[1], rest.shape[1])), np.uint8)
+    cells[exact, :fields.shape[1]] = fields
+    cells[~exact, :rest.shape[1]] = rest
+    return cells
+
+
+def _dyadic_cells(J: np.ndarray, m: int) -> np.ndarray:
+    """The reprs of ``x = J * 2**-m`` for ``0 <= m <= _GRID_LEVELS`` and
+    ``2**m / 10**4 <= |J| < 2**52``, as NUL-padded rows of a uint8 matrix,
+    computed in integers.  repr writes such an x in fixed point, with the
+    shortest digits that read back as x.
+
+    With ``A = |J|``, x has the integer part ``A >> m`` and the m exact
+    fraction digits ``F = (A mod 2**m) * 5**m``.  A decimal reads back as
+    x when it lies within half an ulp of x, ``2**(e - 53)`` for the binary
+    exponent e of x: ``h = 5**m >> (53 - m - e)`` units of ``10**-m``,
+    floored, which loses nothing since a rounding of F is off by whole
+    units.  The interval is closed, since x's 53-bit mantissa is even for
+    ``A < 2**52``.  (Below a power of two it is half as wide, but such an x
+    is ``5**k * 10**-k`` and no shorter rounding comes near it.)  repr
+    keeps the fewest fraction digits t whose rounding of F, half to even,
+    is within h.  Passing is monotone in t, so the search goes down from m
+    and drops each row at its first failure.  No rounding within h reaches
+    the next integer, which lies at least ``5**m > h`` units away.
     """
-    if isinstance(column, np.ndarray) and column.itemsize == 8:
-        keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        text = np.array(list(map(repr, keys.view(column.dtype).tolist())), dtype=object)
-        return text[inverse].tolist()
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    if None in values:
-        return ["" if v is None else repr(v) for v in values]
-    return list(map(repr, values))
+    n = len(J)
+    A = np.abs(J)
+    I, F = A >> m, (A & ((1 << m) - 1)) * 5**m
+    e = np.frexp(A.astype(float))[1] - 1 - m  # frexp's exponent is bit_length(A)
+    h = np.int64(5**m) >> (53 - m - e)
+    t = np.full(n, m)
+    R = F.copy()  # F rounded to t digits
+    live = np.arange(n)
+    for d in range(m - 1, -1, -1):
+        p = 10 ** (m - d)
+        q, r = np.divmod(F[live], p)
+        up = (2 * r > p) | ((2 * r == p) & (q % 2 == 1))
+        ok = np.where(up, p - r, r) <= h[live]
+        live = live[ok]
+        if not len(live):
+            break
+        t[live] = d
+        R[live] = (q[ok] + up[ok]) * p
+    # one character a row, transposed once at the end: a sign, the integer
+    # digits right-aligned against the point, the point, and the fraction
+    # digits (at least one); NULs stand where a field has no character
+    width, t = len(str(int(I.max(initial=0)))), np.maximum(t, 1)
+    tw = int(t.max(initial=1))
+    out = np.empty((width + 2 + tw, n), np.uint8)
+    v = I
+    for k in range(width, 0, -1):
+        v, out[k] = np.divmod(v, 10)
+    v = R // 10 ** max(m - tw, 0)
+    for k in range(width + 1 + tw, width + 1, -1):
+        v, out[k] = np.divmod(v, 10)
+    out += ord("0")
+    out[0], out[width + 1] = 0, ord(".")
+    lead = I < 10 ** np.arange(width - 1, -1, -1)[:, None]
+    lead[-1] = False  # the units digit of 0
+    np.copyto(out[1:width + 1], 0, where=lead)
+    np.copyto(out[width + 2:], 0, where=np.arange(tw)[:, None] >= t)
+    neg = np.flatnonzero(J < 0)
+    out[lead[:, neg].sum(0), neg] = ord("-")
+    return np.ascontiguousarray(out.T)
+
+
+def _cells(column, a: int, b: int) -> np.ndarray:
+    """The CSV fields of rows [a, b) of a column (a ``_Grid``, an array or
+    a sequence of numbers), as the NUL-padded rows of a uint8 matrix:
+    each value's repr, or "" for None.
+
+    A ``_Grid`` is formatted from its indices J in integers
+    (``_dyadic_cells``) where that is exactly repr: at levels 0 to 18, for
+    ``1e-4 <= |x|`` and ``|J| < 2**52``.  Elsewhere (0 and ``|x| < 1e-4``,
+    which repr writes with an exponent, larger indices and deeper levels)
+    its fields are the reprs of its floats.  An array of 8-byte numbers
+    takes one repr per distinct bit pattern (``_repr_cells``).
+    """
+    if isinstance(column, _Grid):
+        return _grid_cells(column, a, b)
+    part = column[a:b]
+    if isinstance(part, np.ndarray) and part.itemsize == 8:
+        return _repr_cells(part)
+    values = part.tolist() if isinstance(part, np.ndarray) else part
+    return _field_bytes(["" if v is None else repr(v) for v in values])
+
+
+def _rows(cells) -> np.ndarray:
+    """The CSV bytes of the rows whose fields are the rows of ``cells``."""
+    n = len(cells[0])
+    comma, crlf = (np.broadcast_to(s, (n, len(s))) for s in (_COMMA, _CRLF))
+    parts = [part for c in cells for part in (c, comma)]
+    parts[-1] = crlf
+    table = np.concatenate(parts, axis=1).ravel()
+    return table[table != 0]
 
 
 def _write_runs(files, tables) -> None:
-    """Write each table, a tuple of equal-length columns (sequences or
-    arrays of numbers), to its file as CSV rows, all tables in lockstep.
+    """Write each table, a tuple of equal-length columns (``_Grid``s,
+    sequences or arrays of numbers), to its binary file as CSV rows, all
+    tables in lockstep.
 
-    The rows go by column, one join per run of at most
-    ``refine.block_ranges``' rows, so no more than one run's strings and
-    Python numbers are alive at a time.  A column that the table before
-    also holds (the same object) reuses that table's fields of the run.
+    The rows go by column, one run of at most ``refine.block_ranges``' rows
+    at a time: each column's fields become the rows of one byte matrix
+    (``_cells``: integer digits for a grid in its domain, repr elsewhere),
+    the matrices and separators are concatenated, and the NUL padding is
+    dropped with one mask.  So no more than one run's bytes are alive at a
+    time.  A column that the table before also holds (the same object)
+    reuses that table's fields of the run.
     """
     for a, b in refine.block_ranges(0, max(len(columns[0]) for columns in tables)):
         last = {}
         for fh, columns in zip(files, tables):
             if a < len(columns[0]):
-                last = {id(c): last[id(c)] if id(c) in last else _cells(c[a:b])
+                end = min(b, len(columns[0]))
+                last = {id(c): last[id(c)] if id(c) in last else _cells(c, a, end)
                         for c in columns}
-                fh.write("\r\n".join(map(",".join, zip(*(last[id(c)] for c in columns))))
-                         + "\r\n")
+                fh.write(_rows([last[id(c)] for c in columns]))
 
 
 def _write_csv(path: str, header: list[str], blocks) -> None:
@@ -146,12 +281,10 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
     rows of at least two (it quotes a row of one empty field).
 
     ``blocks`` yields the tables of ``_write_runs``, written one after
-    another.  A field is the repr of its value, formatted once per distinct
-    bit pattern of a run (``_cells``): by bits, since +0.0 and -0.0 are
-    equal values with different reprs, and a NaN equals no value.
+    another.  A field is the repr of its value (``_cells``).
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for columns in blocks:
             _write_runs([fh], [columns])
 
@@ -342,20 +475,20 @@ def cmd_figure(args) -> int:
             sample = refine.limit_sample(scheme, state, args.levels)
             peaks.append((alpha, sample.peak))
             if args.out:
-                # the masks of one gamma share their supports, so in
-                # practice the five grids are one, held once
-                xs = next((x for x, _ in columns
-                           if np.array_equal(x.view(np.uint64), sample.xs.view(np.uint64))),
-                          sample.xs)
-                columns.append((xs, sample.values))
+                # xs[0] * 2**level is the first index, exactly; the masks of
+                # one gamma share their supports, so in practice the five
+                # grids are one, formatted once a run
+                grid = _Grid(int(np.ldexp(sample.xs[0], sample.level)), sample.level,
+                             len(sample.xs))
+                columns.append((next((x for x, _ in columns if x == grid), grid),
+                                sample.values))
             del sample
         if args.out:
             with contextlib.ExitStack() as stack:
-                files = [stack.enter_context(open(f"{args.out}_alpha_{alpha:+.1f}.csv", "w",
-                                                  encoding="utf-8", newline=""))
+                files = [stack.enter_context(open(f"{args.out}_alpha_{alpha:+.1f}.csv", "wb"))
                          for alpha in FIGURE1_ALPHAS]
                 for fh in files:
-                    fh.write("x,value\r\n")
+                    fh.write(b"x,value\r\n")
                 _write_runs(files, columns)
         for alpha, peak in peaks:
             print(f"alpha = {alpha:+.1f}: peak = {peak!r}")
@@ -374,7 +507,8 @@ def cmd_figure(args) -> int:
             traces[step] = s
     if args.out:
         _write_csv(args.out, ["k", "x", "value"], (
-            (np.full(len(st.window), st.level), st.xs(), st.window.values)
+            (np.full(len(st.window), st.level),
+             _Grid(st.window.start, st.level, len(st.window)), st.window.values)
             for st in map(traces.get, FIGURE2_ITERATIONS)
         ))
     print(f"interpolant gaps per step: first {gaps[0]!r}, last {gaps[-1]!r}")

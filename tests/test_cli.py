@@ -412,6 +412,59 @@ def test_write_csv_is_csv_writer(table):
             assert fh.read() == want.getvalue().encode()
 
 
+@st.composite
+def grid_windows(draw):
+    """A window of a dyadic grid: its first index, level and length.  The
+    windows cross 0, lie near |x| = 1e-4 (where repr switches to an
+    exponent), near |J| = 2**52, or anywhere; levels past 18 take repr."""
+    level = draw(st.integers(0, 24))
+    n = draw(st.integers(1, 13))
+    near = draw(st.sampled_from([0, -(-(2**level) // 10**4), 2**52, 2**40, None]))
+    if near is None:
+        start = draw(st.integers(-(2**53), 2**53 - n))
+    else:
+        start = draw(st.sampled_from([1, -1])) * near + draw(st.integers(-n - 2, 2))
+    return start, level, n
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(grid_windows())
+# ties that round half to even, down (0.5 + 2**-17) and up; the first is
+# also exactly half an ulp from its shortest digits
+@example((2**16 + 1, 17, 1))
+@example((7 * 2**16 + 3, 17, 1))
+# 0.0, -2**-17 and 2**-17 in exponent form, and integer points
+@example((-1, 17, 3))
+@example((-3 * 2**5, 5, 2 * 2**5 + 1))
+@example((-5, 0, 11))
+def test_grid_fields_are_repr(window):
+    """A grid column's field is repr(J * 2**-level) for every index J, in
+    and out of the integer formatter's domain, with blocks of 4 rows."""
+    start, level, n = window
+    grid = cli._Grid(start, level, n)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(refine, "_BLOCK", 4):
+        path = os.path.join(tmp, "out.csv")
+        cli._write_csv(path, ["x", "i"], [(grid, np.arange(n))])
+        with open(path, "rb") as fh:
+            rows = fh.read().decode().split("\r\n")
+    assert rows[0] == "x,i" and rows[-1] == ""
+    assert rows[1:-1] == [f"{math.ldexp(start + i, -level)!r},{i}" for i in range(n)]
+
+
+def test_dyadic_cells_are_repr_in_bulk():
+    """The integer formatter gives repr for 2000 random indices of each
+    magnitude at every level of its domain."""
+    rng = np.random.default_rng(12)
+    for level in range(19):
+        for bits in (4, 12, 24, 40, 52):
+            J = rng.integers(-(2**bits) + 1, 2**bits, 2000)
+            J = J[np.abs(J) >= -(-(2**level) // 10**4)]
+            if len(J):
+                cells = cli._dyadic_cells(J, level)
+                got = [bytes(c[c != 0]).decode() for c in cells]
+                assert got == [repr(math.ldexp(j, -level)) for j in J.tolist()], (level, bits)
+
+
 def test_figure2(tmp_path, capsys):
     out = tmp_path / "fig2.csv"
     assert run(["figure", "2", "--out", str(out)]) == 0

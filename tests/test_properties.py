@@ -8,7 +8,12 @@ same examples every time.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
+import json
+import os
+import tempfile
 from types import SimpleNamespace
 from unittest import mock
 
@@ -16,7 +21,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subdiv import catalog, refine
+from subdiv import catalog, cli, refine
 from subdiv.errors import InvalidParameter, NotConstantReproducing
 from subdiv.masks import (
     NOT_REPRODUCING,
@@ -49,7 +54,7 @@ from subdiv.operators import (
     residue_class_norm,
 )
 from subdiv.refine import RefinementState, _finite, decay_report, limit_sample, refine_once
-from subdiv.schemes import table_scheme
+from subdiv.schemes import certify_theorem4, formula_scheme, table_scheme
 
 derandomized = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -599,3 +604,49 @@ def test_negation_is_exact(run):
     got = limit_sample(scheme, negated, depth).values
     assert np.array_equal(got, -want)
     assert got[got != 0].view(np.int64).tolist() == (-want[want != 0]).view(np.int64).tolist()
+
+
+corner_parameters = st.tuples(st.floats(1.5, 4.0), st.floats(-0.4, 3.0))
+
+
+@settings(derandomized, max_examples=20)
+@given(corner_parameters)
+def test_formula_representation_certifies_alike(params):
+    """The catalog's de Rham scheme and a formula scheme wrapping its
+    mask_fn and analytic facts certify alike over levels 1 to 256, bit for
+    bit.  Only the boundedness scan's origin differs: the catalog's bound
+    hint stands in for the coefficient scan."""
+    gamma, alpha = params
+    scheme = catalog.derham_nonstationary(gamma, alpha=alpha)
+    wrapped = formula_scheme(scheme.mask_fn, k0=1, N=2, analytic=scheme.analytic)
+    comparator = catalog.derham_stationary(gamma)
+    want = certify_theorem4(scheme, comparator, k_range=(1, 256)).to_dict()
+    got = certify_theorem4(wrapped, comparator, k_range=(1, 256)).to_dict()
+    assert want["scan"].pop("sup_from_hint") and not got["scan"].pop("sup_from_hint")
+    assert got == want
+
+
+@settings(derandomized, max_examples=10)
+@given(corner_parameters)
+def test_certify_out_descriptors_certify_alike(params):
+    """The target and comparator descriptors that certify --out writes,
+    saved as JSON scheme files and loaded back, certify to the same
+    certificate."""
+    gamma, alpha = params
+    with tempfile.TemporaryDirectory() as tmp:
+        def certify(scheme, comparator):
+            out = os.path.join(tmp, "cert.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["certify", "--scheme", scheme, "--comparator", comparator,
+                                 "--out", out]) == 0
+            with open(out, encoding="utf-8") as fh:
+                return json.load(fh)
+
+        payload = certify(f"derham:gamma={gamma!r},alpha={alpha!r}",
+                          f"derham_stationary:gamma={gamma!r}")
+        paths = []
+        for role in ("target", "comparator"):
+            paths.append(os.path.join(tmp, f"{role}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(payload[role], fh)
+        assert certify(*paths)["certificate"] == payload["certificate"]

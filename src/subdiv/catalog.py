@@ -104,7 +104,9 @@ def derham_nonstationary(
             return alpha_f / k
 
         def eps_rows(lo: int, hi: int) -> np.ndarray:
-            return alpha_f / np.arange(lo, hi + 1)
+            # the levels as int64, up to 2**63 - 2; mask_fn builds the rest
+            top = np.iinfo(np.int64).max
+            return alpha_f / np.arange(min(lo, top), min(hi + 1, top), dtype=np.int64)
 
         sup_gamma = max(gamma, gamma + alpha_f / k0)
         analytic = AnalyticSimilarity(

@@ -66,11 +66,11 @@ FIGURE2_ITERATIONS = (8, 12, 16)
 # peaks at 138 MB RSS).
 _ARRAY_BYTES = 12
 _ROW_BYTES = 36
-# Bytes analyze holds per listed level besides the scheme's level table:
-# the report's entry, with its parity sums and difference rule.
-# tracemalloc measured 666-730 a level for derham:gamma=2,alpha=1.5 over
-# --k-range 1:2000 and 1:20000, once the table's entries were taken off.
-_REPORT_LEVEL_BYTES = 1024
+# Bytes analyze holds per listed level: the report's entry, with its
+# parity sums and difference rule, and the level's rows in the scheme's
+# table.  tracemalloc measured 996 a level for derham:gamma=2,alpha=1.5
+# over --k-range 1:131072, with or without --out (which streams the JSON).
+_REPORT_LEVEL_BYTES = 2048
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -96,12 +96,15 @@ def _join_k_ranges(argv: list[str]) -> list[str]:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write ``obj`` as indented JSON and a newline, streamed in pieces
+    rather than built as one string."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
 
 
 # Figure x columns are passed as their grids and formatted from the grid
@@ -303,13 +306,12 @@ def cmd_analyze(args) -> int:
     report = args.report = {"scheme": scheme.to_dict(), "levels": {}, "contraction": None}
     k_lo, k_hi = scheme.clamp(*(args.k_range or (scheme.k0, scheme.k0 + 16)))
     levels = range(k_lo, k_hi + 1) if scheme.kind != "stationary" else [scheme.k0]
-    scheme.admit(levels[0], levels[-1], f"a report on levels {k_lo} to {k_hi}",
-                 _REPORT_LEVEL_BYTES * len(levels))
+    check_budget(_REPORT_LEVEL_BYTES * len(levels), f"a report on levels {k_lo} to {k_hi}")
     # build and derive the listed levels as one block; the reads of each
     # level below then find them held, and raise any error of this read
     # at its own level, after listing the levels before it
     with contextlib.suppress(Exception):
-        scheme._block(levels[0], levels[-1], rules=True)
+        scheme.rows(levels[0], levels[-1], rules=True)
     all_ok = True
     for k in levels:
         m = scheme.mask_at(k)

@@ -89,11 +89,12 @@ MEMORY_BUDGET = 2**30
 # tracemalloc measured about 14 for product_norm of Chaikin's difference
 # rule; 64 keeps a margin of over 4x.
 _PRODUCT_BYTES = 64
-# Peak bytes the search holds per scanned level and per unit of n_max,
-# besides the level table: up to n_max cells of the scan.  tracemalloc
-# measured 115 to 127 for contraction_scan of corner-cutting (N = 2) and
-# 4-point (N = 3) rules at n_max = 8 and K_max = 2000 and 8000, once the
-# table's entries were taken off.
+# Peak bytes the search holds per scanned level and per unit of n_max: up
+# to n_max cells of the scan.  tracemalloc measured 115 to 127 for
+# contraction_scan of corner-cutting (N = 2) and 4-point (N = 3) rules at
+# n_max = 8 and K_max = 2000 and 8000, once the level table's entries were
+# taken off, and 1114 a level in all, table included, for derham(2, 1.5)
+# at n_max = 8 over 2**17 levels, within the 1280 charged.
 _LEVEL_BYTES = 160
 
 
@@ -279,9 +280,9 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
     k0 = last = scheme.k0
     if scheme.kind != "stationary":
         _, last = scheme.clamp(k0, k0 + K_max + window + n_max - 1)
-    scheme.admit(k0, last, f"products of up to {n_max} rules over levels {k0} to {last}",
-                 block_bytes(scheme.N, n_max) + _LEVEL_BYTES * n_max * (last - k0 + 1))
-    rules = scheme._block(k0, last, rules=True)
+    check_budget(block_bytes(scheme.N, n_max) + _LEVEL_BYTES * n_max * (last - k0 + 1),
+                 f"products of up to {n_max} rules over levels {k0} to {last}")
+    rules = scheme.rows(k0, last, rules=True)
     if scheme.kind == "stationary":
         q = row_stencils(rules, -scheme.N)[0]
         for n, p in enumerate(products([q] * n_max), 1):

@@ -32,17 +32,12 @@ from .operators import (
 # prefixes fall back to a submultiplicative chunked upper bound (the
 # composed stencil grows like 2**length and becomes unrepresentable).
 _EXACT_PRODUCT_CAP = 16
-# Bytes charged for each level a scheme's table holds or a reader reads:
-# the level's mask and rule rows, and the per-level arrays and lists of
-# the reader.  tracemalloc measured 98-153 bytes a level held for corner
-# cutting (N = 2) and 136-209 for a 4-point rule (N = 3), over 2000 to
-# 8000 levels read as one block.  Read one level at a time, when the
-# doubled capacity can reach twice the levels held, they measured 227-297
-# and 314-405, peaking at 377 and 517 while the rows are copied.  A
-# transfer against the stationary base peaks at 316-370 and 481-551 bytes
-# a level, a similarity report at 316-369 and 370-440.  So the charge
-# covers rows of N up to about 10 at their full capacity.
-_ENTRY_BYTES = 1024
+# The most levels one level table of a scheme spans from its start.  A read
+# past it is refused before any level is built, which bounds the time of
+# the readers that read from k0 (about 0.1 ms a level) and the memory of a
+# table: 152 to 299 bytes a level, table included, for the plain readers
+# of derham(2, 1.5) (tracemalloc, 2**17 levels), below 320 MiB at the cap.
+MAX_LEVELS = 2**20
 
 
 class _LevelTable:
@@ -63,7 +58,7 @@ class _LevelTable:
         held = 0 if self.masks is None else len(self.masks)
         if count <= held:
             return
-        cap = max(count, 2 * held)
+        cap = max(count, min(2 * held, MAX_LEVELS))
         grown = np.zeros((cap, 2 * N + 1)), np.zeros((cap, 2 * N)), np.zeros(cap, int)
         if held:
             for new, old in zip(grown, (self.masks, self.rules, self.verdicts)):
@@ -157,18 +152,21 @@ class SchemeSpec:
     def __post_init__(self):
         object.__setattr__(self, "_table", _LevelTable(self.k0))
 
-    def _block(self, lo: int, hi: int, rules: bool = False) -> np.ndarray:
+    def rows(self, lo: int, hi: int, rules: bool = False) -> np.ndarray:
         """The rows of levels lo to hi from index -N: their masks, or their
         difference rules when ``rules``, read-only.
 
         A level's mask is built on its first read and its rule derived on
-        the first read of rules, both then held in the level table.  A range
-        that starts past the levels held is read into a window table of its
-        own, so the levels between are never built; the scheme holds the
-        latest window, and a range that starts inside it or right after it
-        reads on from it.  A reading of rules raises for the first level of
-        the range, in level order, whose mask cannot be built or has no
-        rule; a level that does not reproduce constants raises
+        the first read of rules, both then held in the level table from k0.
+        A range that starts past the levels held is read into a window table
+        of its own, so the levels between are never built; the scheme holds
+        the latest window, and a range that starts inside it or right after
+        it reads on from it.  A read that would make its table span more
+        than MAX_LEVELS levels from the table's start (a stationary scheme's
+        read: more than MAX_LEVELS levels) is refused with InvalidParameter
+        before any level is built.  A reading of rules raises for the first
+        level of the range, in level order, whose mask cannot be built or
+        has no rule; a level that does not reproduce constants raises
         NotConstantReproducing tagged with its level."""
         if hi < lo:
             return np.zeros((0, 2 * self.N + (not rules)))
@@ -183,14 +181,21 @@ class SchemeSpec:
                 )
         table = self._table
         if self.kind == "stationary":
-            first = last = 0
+            start, first, last = lo, 0, 0
         else:
             if lo > table.start + table.built:
                 table = self._window
                 if table is None or not table.start <= lo <= table.start + table.built:
                     table = _LevelTable(lo)
-                    object.__setattr__(self, "_window", table)
-            first, last = lo - table.start, hi - table.start
+            start = table.start
+            first, last = lo - start, hi - start
+        if hi - start >= MAX_LEVELS:
+            raise InvalidParameter(
+                f"reading levels {lo} to {hi} spans {hi - start + 1} levels from "
+                f"level {start}, past the level cap of {MAX_LEVELS} levels"
+            )
+        if table is not self._table:
+            object.__setattr__(self, "_window", table)
         if not rules:
             table.build(self, last)
             block = table.masks[first : last + 1]
@@ -211,19 +216,7 @@ class SchemeSpec:
         return block
 
     def mask_at(self, k: int) -> Mask:
-        return Mask(-self.N, self._block(k, k)[0])
-
-    def admit(self, lo: int, hi: int, request: str, transient: int = 0) -> int:
-        """The bytes charged for reading levels lo to hi: one entry a level
-        of the range and a level held outside it, in the level table or the
-        window, plus ``transient``.  Refuses ``request`` when they exceed
-        the memory budget."""
-        held = 0
-        for t in (self._table, self._window):
-            if t is not None:
-                inside = min(hi, t.start + t.built - 1) - max(lo, t.start) + 1
-                held += t.built - max(inside, 0)
-        return check_budget(_ENTRY_BYTES * (held + hi - lo + 1) + transient, request)
+        return Mask(-self.N, self.rows(k, k)[0])
 
     def clamp(self, k_lo: int, k_hi: int) -> tuple[int, int]:
         """The part of the level range [k_lo, k_hi] that this scheme
@@ -240,7 +233,7 @@ class SchemeSpec:
     def difference_mask_at(self, k: int) -> Mask:
         """Difference rule of the level-k mask.  A mask that does not
         reproduce constants raises NotConstantReproducing tagged with k."""
-        return Mask(-self.N, self._block(k, k, rules=True)[0])
+        return Mask(-self.N, self.rows(k, k, rules=True)[0])
 
     def to_dict(self) -> dict:
         if self.descriptor is None:
@@ -341,8 +334,7 @@ def boundedness_estimate(scheme: SchemeSpec, k_range: tuple[int, int]) -> Bounde
     k_lo, k_hi = scheme.clamp(*k_range)
     # every level of a stationary scheme has the same mask
     last = k_lo if scheme.kind == "stationary" else k_hi
-    scheme.admit(k_lo, last, f"a boundedness estimate on levels {k_lo} to {last}")
-    rows = scheme._block(k_lo, last)
+    rows = scheme.rows(k_lo, last)
     coeff = float(np.abs(rows).max(initial=0.0))
     op = float(class_norms(rows, -scheme.N, 2).max(initial=0.0))
     if scheme.bound_hint is not None:
@@ -382,9 +374,11 @@ def _loglog_fit(ks: Sequence[int], vals: Sequence[float]) -> tuple[float, float]
     pts = [(k, v) for k, v in zip(ks, vals) if k > 0 and v > 0]
     if len(pts) < 4:
         return None
-    x = np.log([p[0] for p in pts])
+    x = np.log([float(p[0]) for p in pts])  # levels past int64 too
     y = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    (slope, intercept), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+    if rank < 2:  # the logs of late levels round too close to fit a slope
+        return None
     return float(np.exp(intercept)), float(slope)
 
 
@@ -426,10 +420,8 @@ def similarity_report(
     k_lo, k_hi = b.clamp(*a.clamp(*k_range))
     if k_hi - k_lo + 1 < 8:
         raise InvalidParameter("similarity window must cover at least 8 levels")
-    for s in (a, b):
-        s.admit(k_lo, k_hi, f"a similarity report on levels {k_lo} to {k_hi}")
     N = max(a.N, b.N)
-    diff = _widened(a._block(k_lo, k_hi), N) - _widened(b._block(k_lo, k_hi), N)
+    diff = _widened(a.rows(k_lo, k_hi), N) - _widened(b.rows(k_lo, k_hi), N)
     ks = list(range(k_lo, k_hi + 1))
     diffs = np.abs(diff).max(axis=1).tolist()
     psums = list(itertools.accumulate(diffs))
@@ -511,14 +503,13 @@ def _transfer(
         )
     eps = (mu - mu_star) / 2.0
 
-    # counted from k0, since the C1 prefix reads the levels before the window
     N = max(target.N, comparator.N)
-    target.admit(target.k0, k_hi + n - 1,
-                 f"a transfer over levels {target.k0} to {k_hi + n - 1}",
-                 block_bytes(N, n))
+    check_budget(block_bytes(N, n), f"a transfer's products of {n} rules")
     # Constant reproduction on every target level from k0, checked before
-    # similarity so the failure reported first is the binding one.
-    rules = target._block(target.k0, k_hi + n - 1, rules=True)[k_lo - target.k0 :]
+    # similarity so the failure reported first is the binding one.  The
+    # read spans the levels from k0 against the cap, since the C1 prefix
+    # reads the levels before the window too.
+    rules = target.rows(target.k0, k_hi + n - 1, rules=True)[k_lo - target.k0 :]
     sim = similarity_report(target, comparator, (k_lo, k_hi))
     if sim.similar != "yes":
         raise SimilarityNotEstablished(
@@ -528,7 +519,7 @@ def _transfer(
 
     # the comparator's one product, and the target's over blocks of start
     # levels, as rows from the same index
-    c_rule = _widened(comparator._block(comparator.k0, comparator.k0, rules=True), N)
+    c_rule = _widened(comparator.rows(comparator.k0, comparator.k0, rules=True), N)
     c = product_rows(np.repeat(c_rule, n, axis=0), n)
     base, arity = -N * (2**n - 1), 2**n
     diffs, tnorms = [], []
@@ -750,9 +741,9 @@ def certify_theorem4(
             "divide by, so C1 is not finite"
         )
     prefix = range(target.k0, K + n - 1)
-    target.admit(target.k0, K + n - 2, f"a C1 prefix over levels {target.k0} to {K + n - 2}",
-                 product_bytes(target.N, min(_EXACT_PRODUCT_CAP, len(prefix))))
-    rules = target._block(target.k0, K + n - 2, rules=True)
+    check_budget(product_bytes(target.N, min(_EXACT_PRODUCT_CAP, len(prefix))),
+                 f"a C1 prefix over levels {target.k0} to {K + n - 2}")
+    rules = target.rows(target.k0, K + n - 2, rules=True)
     best, c1_exact = _c1_prefix(rules)
     C1 = _c1(best, mu_hat, K + n - 1)
 

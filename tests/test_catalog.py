@@ -120,7 +120,7 @@ def built_rows(scheme, hi):
     """Build the scheme's levels k0 .. hi as one range: the error of the
     first level refused, the number of levels built and their rows' bits."""
     try:
-        scheme._block(scheme.k0, hi)
+        scheme.rows(scheme.k0, hi)
         err = None
     except InvalidParameter as exc:
         err = str(exc)
@@ -143,10 +143,13 @@ derham_rows_settings = settings(max_examples=40, deadline=None, derandomize=True
        st.integers(1, 10**6))
 @example(1.7e308, 1.7e308, 1)
 @example(1.5, -700.0, 1)
+@example(2.0, 1.5, 2**63 - 5000)
+@example(2.0, 1.5, 2**64 - 5000)
 def test_derham_rows_are_mask_fn_rows(gamma, alpha, k0):
     """derham's rows over 10**4 levels hold mask_fn's masks bit for bit; a
     ratio refused at the first levels (negative, or overflowing to inf)
-    raises mask_fn's message with the same levels built before it."""
+    raises mask_fn's message with the same levels built before it.  Levels
+    past int64, across 2**63 and 2**64, are built too."""
     s = catalog.derham_nonstationary(gamma, alpha=alpha, k0=k0)
     got = built_rows(s, k0 + ROW_LEVELS - 1)
     assert got == built_by_loop(s, k0 + ROW_LEVELS - 1)

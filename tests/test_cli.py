@@ -23,8 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subdiv
-from subdiv import cli, refine, schemes
+from subdiv import catalog, cli, refine, schemes
 from subdiv.cli import main
+from subdiv.masks import coeff_norm, difference_mask
 
 
 def run(args):
@@ -576,34 +577,35 @@ def test_memory_budget_refusal(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "fig2.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, refusal", [
     pytest.param(["analyze", "--scheme", "chaikin", "--verbose", "--n-max", "60"],
-                 id="analyze-verbose"),
+                 "memory budget", id="analyze-verbose"),
     pytest.param(["certify", "--scheme", "derham:gamma=2,alpha=1.5",
                   "--comparator", "derham_stationary:gamma=2", "--n-max", "60"],
-                 id="certify"),
+                 "memory budget", id="certify"),
     pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--K-max", str(10**9)],
-                 id="analyze-K-max"),
+                 "memory budget", id="analyze-K-max"),
     pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--window", str(10**9)],
-                 id="analyze-window"),
+                 "memory budget", id="analyze-window"),
     pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5",
-                  "--k-range", f"1:{10**9}"], id="analyze-k-range"),
+                  "--k-range", f"1:{10**9}"], "memory budget", id="analyze-k-range"),
     pytest.param(["compare", "--scheme", "derham:gamma=2,alpha=1.5",
                   "--comparator", "derham_stationary:gamma=2", "--k-range", f"1:{10**9}"],
-                 id="compare-k-range"),
+                 "level cap", id="compare-k-range"),
     pytest.param(["certify", "--scheme", "derham:gamma=2,alpha=1.5",
                   "--comparator", "derham_stationary:gamma=2", "--k-range", f"1:{10**9}"],
-                 id="certify-k-range"),
+                 "level cap", id="certify-k-range"),
     # a short window that starts late: the C1 prefix reads every level from k0
     pytest.param(["certify", "--scheme", "derham:gamma=2,alpha=1.5",
                   "--comparator", "derham_stationary:gamma=2", "--k-range", "1400000:1400063"],
-                 id="certify-k-range-late"),
+                 "level cap", id="certify-k-range-late"),
 ])
-def test_n_max_budget_refusal(argv, capsys):
+def test_n_max_budget_refusal(argv, refusal, capsys):
     """An n-fold product stencil holds about len(q) * 2**n coefficients, so
     an exponential --n-max exits 3 before any product is composed; so does
-    a --K-max, --window or --k-range whose levels would not fit, before the
-    first level is read."""
+    a --K-max or --window whose scan cells would not fit, or a --k-range
+    whose report would not fit or whose levels pass the level cap, before
+    the first level is read."""
     tracemalloc.start()
     try:
         code = run(argv)
@@ -612,7 +614,42 @@ def test_n_max_budget_refusal(argv, capsys):
         tracemalloc.stop()
     assert code == 3
     assert peak < 2**20
-    assert "memory budget" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["compare", "--scheme", "derham:gamma=2,alpha=1.5",
+                  "--comparator", "derham_stationary:gamma=2"], id="compare"),
+    # differences that do not round away, so the decay fit takes the levels
+    pytest.param(["compare", "--scheme", "derham:gamma=2,alpha=1e25",
+                  "--comparator", "derham_stationary:gamma=2"], id="compare-fit"),
+    pytest.param(["analyze", "--scheme", "derham:gamma=2,alpha=1.5"], id="analyze"),
+])
+@pytest.mark.parametrize("k_range", [
+    "9223372036854775800:9223372036854775863",  # across 2**63
+    "18446744073709551500:18446744073709551615",  # up to 2**64 - 1
+    "18446744073709551600:18446744073709551663",  # across 2**64
+])
+def test_levels_past_int64_exit0(argv, k_range, tmp_path, capsys):
+    """derham builds the levels that int64 holds as array operations and
+    the rest one mask_fn call a level, so a window at or past 2**63 or
+    2**64 exits 0, with each level's mask bit for bit mask_fn's.  The logs
+    of such levels round to one float, so compare fits no decay."""
+    out = tmp_path / "out"
+    assert run([*argv, "--k-range", k_range, "--out", str(out)]) == 0
+    lo, hi = map(int, k_range.split(":"))
+    scheme = catalog.parse_scheme_arg(argv[2])
+    if argv[0] == "compare":
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert report["k"] == list(range(lo, hi + 1))
+        stationary = catalog.derham_stationary(2.0).mask_at(0)
+        assert report["diff"] == [coeff_norm(scheme.mask_fn(k) - stationary)
+                                  for k in range(lo, hi + 1)]
+        assert report["decay_fit"] is None
+    else:
+        levels = json.loads(out.read_text())["levels"]
+        assert [levels[str(k)]["difference_mask"] for k in range(lo, hi + 1)] == [
+            difference_mask(scheme.mask_fn(k)).to_dict() for k in range(lo, hi + 1)]
 
 
 def test_memory_budget_admits_benchmark_runs():

@@ -54,7 +54,9 @@ from subdiv.operators import (
     residue_class_norm,
 )
 from subdiv.refine import RefinementState, _finite, decay_report, limit_sample, refine_once
-from subdiv.schemes import certify_theorem4, formula_scheme, table_scheme
+from subdiv.schemes import (
+    AnalyticSimilarity, certify_theorem4, formula_scheme, stationary_scheme, table_scheme,
+)
 
 derandomized = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -650,3 +652,58 @@ def test_certify_out_descriptors_certify_alike(params):
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 json.dump(payload[role], fh)
         assert certify(*paths)["certificate"] == payload["certificate"]
+
+
+def even_shift(m: Mask) -> Mask:
+    """``z**2 m(z)``: the mask's coefficients two indices later."""
+    return Mask(m.base + 2, m.coeffs)
+
+
+@settings(derandomized, max_examples=30)
+@given(corner_parameters, st.integers(-20, 20), scalable_values, st.integers(5, 8))
+@example((2.0, -0.25), -3, [0.0, 1.0, -0.5, 0.25, 1.0, 0.0], 8)
+@example((3.5, -0.4), 7, [1.0, -1.0] * 6, 6)
+def test_even_index_shift_keeps_bits(params, start, values, depth):
+    """Shifting every mask by z**2 shifts each difference rule by z**2, and
+    an n-fold product by z**(2 * (2**n - 1)), which relabels its 2**n
+    residue classes cyclically and sums each class in the same order.  So
+    the certificate keeps its bits against the same masks read with the
+    shifted masks' N = 4.  Against the catalog's N = 2, whose rows carry
+    two +0.0 fewer a side, mu*, K, C1 and every product norm keep them too
+    (the padding changed no sum in any example drawn), and only the
+    constants that N enters by formula move, exactly (with the catalog's
+    bound hint on both, so that the sup is the same): C2 = N * (sup + 1)
+    doubles, Gamma and C quadruple.  Each refined level from level 1 moves
+    by 2 * (2**m - 1) indices after m steps with the same values, so the
+    delta norms keep their bits; the Cauchy norms, gaps between grids that
+    move by different x-offsets, are not compared."""
+    gamma, alpha = params
+    scheme = catalog.derham_nonstationary(gamma, alpha=alpha)
+    comparator = catalog.derham_stationary(gamma)
+    flags = scheme.analytic
+    shifted = formula_scheme(lambda k: even_shift(scheme.mask_fn(k)), k0=1, N=4,
+                             bound_hint=scheme.bound_hint,
+                             analytic=AnalyticSimilarity(even_shift(flags.base_mask),
+                                                         flags.eps_is_o1, flags.eps_summable))
+    c = comparator.mask_at(0)
+    got = certify_theorem4(shifted, stationary_scheme(even_shift(c), N=4), k_range=(1, 256))
+    wide = formula_scheme(scheme.mask_fn, k0=1, N=4, bound_hint=scheme.bound_hint,
+                          analytic=flags)
+    assert got.to_dict() == certify_theorem4(wide, stationary_scheme(c, N=4),
+                                             k_range=(1, 256)).to_dict()
+    want = certify_theorem4(scheme, comparator, k_range=(1, 256)).to_dict()
+    got = got.to_dict()
+    assert (got["C2"], got["Gamma"], got["C"]) == (2 * want["C2"], 4 * want["Gamma"],
+                                                   4 * want["C"])
+    for d in (got, want):
+        del d["C2"], d["Gamma"], d["C"]
+    assert got == want
+
+    state = moved = initial = RefinementState(1, Window(start, values))
+    for m in range(1, depth):
+        state, moved = refine_once(state, scheme), refine_once(moved, shifted)
+        assert moved.window.start - state.window.start == 2 * (2**m - 1)
+        assert moved.window.values.view(np.int64).tolist() == \
+            state.window.values.view(np.int64).tolist()
+    assert decay_report(shifted, initial, depth).delta_norms == \
+        decay_report(scheme, initial, depth).delta_norms

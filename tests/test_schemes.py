@@ -88,14 +88,14 @@ def test_boundedness_stationary_reads_one_level(monkeypatch):
     reads only its first level and reports the range as given."""
     c = catalog.chaikin()
     reads = []
-    block = type(c)._block
+    rows = type(c).rows
 
     def counted(self, lo, hi, rules=False):
         reads.append((lo, hi))
         assert hi - lo < 16, "read level after level of a stationary scheme"
-        return block(self, lo, hi, rules)
+        return rows(self, lo, hi, rules)
 
-    monkeypatch.setattr(type(c), "_block", counted)
+    monkeypatch.setattr(type(c), "rows", counted)
     long = boundedness_estimate(c, (1, 10**9))
     assert reads == [(1, 1)]
     short = boundedness_estimate(c, (1, 16))
@@ -104,11 +104,11 @@ def test_boundedness_stationary_reads_one_level(monkeypatch):
 
 def test_boundedness_refuses_range_over_budget():
     """A level-dependent scheme reads and holds every level of the range,
-    so a range past the memory budget is refused before the first read."""
+    so a range past the level cap is refused before the first read."""
     unread = formula_scheme(lambda k: pytest.fail(f"level {k} was read"), k0=1, N=2)
-    with pytest.raises(InvalidParameter, match="memory budget"):
+    with pytest.raises(InvalidParameter, match="level cap"):
         boundedness_estimate(unread, (1, 10**9))
-    with pytest.raises(InvalidParameter, match="memory budget"):
+    with pytest.raises(InvalidParameter, match="level cap"):
         boundedness_estimate(catalog.derham_nonstationary(2.0, alpha=1.5), (1, 10**9))
 
 
@@ -120,30 +120,37 @@ SCAN_K_MAX = 500
     pytest.param(lambda t, c: similarity_report(t, c, (1, CHARGED_LEVELS)), id="similarity"),
     pytest.param(lambda t, c: boundedness_estimate(t, (1, CHARGED_LEVELS)), id="boundedness"),
     pytest.param(lambda t, c: certify_theorem4(t, c, k_range=(1, CHARGED_LEVELS)), id="certify"),
+    pytest.param(lambda t, c: certify_theorem4(t, c, k_range=(CHARGED_LEVELS - 63,
+                                                              CHARGED_LEVELS), mu=0.9999),
+                 id="certify-late"),
     pytest.param(lambda t, c: operators.contraction_scan(t, K_max=SCAN_K_MAX), id="scan"),
 ])
 def test_level_charges_cover_what_is_held(read, monkeypatch):
-    """Each range reader's up-front charges cover its traced peak, which
-    includes the level table entries it leaves with the schemes.  What was
-    charged is, summed over the schemes, the largest need each admitted."""
+    """The level cap bounds a table at MAX_LEVELS levels within the memory
+    budget, so it charges each level a table holds MEMORY_BUDGET /
+    MAX_LEVELS bytes: each range reader's traced peak, which includes the
+    level tables it leaves with the schemes, stays within that charge for
+    the levels held, plus the largest of the costs ``check_budget`` was
+    asked about (products of rules, the search's scan cells)."""
     target = catalog.derham_nonstationary(2.0, alpha=1.5)
     comparator = catalog.derham_stationary(2.0)
-    charged = {}
-    admit = SchemeSpec.admit
+    charged, check = [0], operators.check_budget
 
-    def recorded(self, lo, hi, request, transient=0):
-        need = admit(self, lo, hi, request, transient)
-        charged[id(self)] = max(charged.get(id(self), 0), need)
-        return need
+    def recorded(need, request):
+        charged.append(need)
+        return check(need, request)
 
-    monkeypatch.setattr(SchemeSpec, "admit", recorded)
+    for module in (operators, schemes):
+        monkeypatch.setattr(module, "check_budget", recorded)
     tracemalloc.start()
     try:
         read(target, comparator)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert charged and peak <= sum(charged.values())
+    held = sum(t.built for s in (target, comparator) for t in (s._table, s._window) if t)
+    assert held >= CHARGED_LEVELS // 4
+    assert peak <= operators.MEMORY_BUDGET // schemes.MAX_LEVELS * held + max(charged)
 
 
 def reads_recorded(reads: list) -> SchemeSpec:
@@ -152,46 +159,75 @@ def reads_recorded(reads: list) -> SchemeSpec:
     return formula_scheme(lambda k: reads.append(k) or base.mask_fn(k), k0=1, N=base.N)
 
 
-def test_table_account_refuses_calls_that_add_up(monkeypatch):
-    """Admitted calls on one scheme object add up in its table, so the call
-    that would take the table past the budget is refused before any level
-    of its range is read, and what was admitted stays within the budget."""
-    monkeypatch.setattr(operators, "MEMORY_BUDGET", 2**21)
+def test_level_cap_bounds_each_read(monkeypatch):
+    """A read that spans exactly MAX_LEVELS levels from its table's start is
+    served; one level more is refused before mask_fn runs, from k0, from a
+    late window's first level, and over a stationary scheme's range."""
+    monkeypatch.setattr(schemes, "MAX_LEVELS", 100)
+    reads = []
+    with pytest.raises(InvalidParameter, match="101 levels from level 1, past the level cap"):
+        boundedness_estimate(reads_recorded(reads), (1, 101))
+    with pytest.raises(InvalidParameter, match="101 levels from level 5000, past the level cap"):
+        reads_recorded(reads).rows(5000, 5100, rules=True)
+    assert reads == []
+    boundedness_estimate(reads_recorded(reads), (1, 100))
+    assert reads == list(range(1, 101))
+    reads.clear()
+    reads_recorded(reads).rows(5000, 5099, rules=True)
+    assert reads == list(range(5000, 5100))
+    unread = SchemeSpec(kind="stationary", k0=0, N=2,
+                        mask_fn=lambda k: pytest.fail(f"level {k} was read"))
+    with pytest.raises(InvalidParameter, match="level cap"):
+        unread.rows(7, 107)
+    assert catalog.chaikin().rows(7, 106).shape == (100, 5)
+    # read a level at a time, the table's doubling capacity stops at the cap
+    one_by_one = reads_recorded([])
+    for k in range(1, 101):
+        one_by_one.mask_at(k)
+    assert len(one_by_one._table.masks) == 100
+
+
+def test_table_cap_refuses_calls_that_add_up(monkeypatch):
+    """Calls on one scheme object add up in its table, so the call that
+    would take the table past the level cap is refused before any level of
+    its range is read: no table ever spans more than MAX_LEVELS levels, nor
+    a scheme's two tables more than twice that, however many calls."""
+    monkeypatch.setattr(schemes, "MAX_LEVELS", 2000)
     reads = []
     scheme = reads_recorded(reads)
     per_call = 700
-    tracemalloc.start()
-    try:
+    for late in (0, 10**6):
         for call in range(10):
-            lo = 1 + call * per_call
+            lo = 1 + late + call * per_call
             held = len(reads)
             try:
                 boundedness_estimate(scheme, (lo, lo + per_call - 1))
             except InvalidParameter as exc:
-                assert "memory budget" in str(exc)
+                assert "level cap" in str(exc)
                 break
-            assert tracemalloc.get_traced_memory()[0] <= operators.MEMORY_BUDGET
         else:
             pytest.fail("no call was refused")
-    finally:
-        tracemalloc.stop()
-    assert call >= 2 and len(reads) == held == call * per_call
+        assert call == 2 and len(reads) == held
+    assert reads == [*range(1, 1401), *range(10**6 + 1, 10**6 + 1401)]
+    tables = scheme._table, scheme._window
+    assert [t.built for t in tables] == [1400, 1400]
+    assert all(len(t.masks) <= schemes.MAX_LEVELS for t in tables)
 
 
-def test_table_account_admits_held_levels(monkeypatch):
-    """Levels already held are not charged twice: reading a range again, or
-    a similarity report over the window a certificate has read, is admitted
-    without a new read, where a fresh range of the same size is not."""
+def test_table_cap_serves_held_levels(monkeypatch):
+    """Levels already held are served without a new read: reading a range
+    again, or a similarity report over the window a certificate has read,
+    where a range that takes the table past the cap is refused."""
     certified = catalog.derham_nonstationary(2.0, alpha=1.5)
     comparator = catalog.derham_stationary(2.0)
     cert = certify_theorem4(certified, comparator, k_range=(1, 600))
-    monkeypatch.setattr(operators, "MEMORY_BUDGET", 700 * schemes._ENTRY_BYTES)
+    monkeypatch.setattr(schemes, "MAX_LEVELS", 600)
     reads = []
     scheme = reads_recorded(reads)
     boundedness_estimate(scheme, (1, 600))
     boundedness_estimate(scheme, (1, 600))
     assert reads == list(range(1, 601))
-    with pytest.raises(InvalidParameter, match="memory budget"):
+    with pytest.raises(InvalidParameter, match="level cap"):
         boundedness_estimate(scheme, (601, 1200))
     assert len(reads) == 600
     window = cert.meta["k_lo"], cert.meta["k_hi"]
@@ -209,18 +245,23 @@ def test_similarity_late_window_reads_only_its_levels():
     assert reads == list(range(500000, 500064)) == list(report.ks)
 
 
-def test_late_window_is_held_and_charged():
+def test_late_window_is_held_and_charged(monkeypatch):
     """The latest window a scheme reads past its level table stays with it:
     a later read inside it or right after it builds only the levels it
-    lacks, and each read is charged the window's levels outside its range."""
+    lacks, and counts against the level cap from the window's first level,
+    apart from the level table from k0."""
+    monkeypatch.setattr(schemes, "MAX_LEVELS", 200)
     reads = []
     scheme = reads_recorded(reads)
     similarity_report(scheme, catalog.derham_stationary(2.0), (500000, 500063))
     boundedness_estimate(scheme, (500010, 500099))
     assert reads == list(range(500000, 500100))
-    assert scheme.admit(1, 1, "level 1") == schemes._ENTRY_BYTES * (100 + 1)
-    assert scheme.admit(500050, 500149, "levels past the window") == (
-        schemes._ENTRY_BYTES * (50 + 100))
+    boundedness_estimate(scheme, (500100, 500199))
+    with pytest.raises(InvalidParameter, match="201 levels from level 500000"):
+        scheme.mask_at(500200)
+    assert reads == list(range(500000, 500200))
+    boundedness_estimate(scheme, (1, 200))
+    assert reads[200:] == list(range(1, 201)) and scheme._window.built == 200
 
 
 @pytest.mark.parametrize("read", [
@@ -252,14 +293,15 @@ def test_rule_errors_come_in_level_order(read, first, error):
 
 
 def test_similarity_refuses_long_stationary_range():
-    """Every level of the range is charged, so two stationary schemes, each
-    holding one entry, are refused over 10**9 levels before any read."""
+    """Every level of a stationary scheme's range counts against the level
+    cap, so two stationary schemes, each holding one level, are refused
+    over 10**9 levels before any read."""
     unread = [SchemeSpec(kind="stationary", k0=0, N=2,
                          mask_fn=lambda k: pytest.fail(f"level {k} was read"))
               for _ in range(2)]
-    with pytest.raises(InvalidParameter, match="memory budget"):
+    with pytest.raises(InvalidParameter, match="level cap"):
         similarity_report(catalog.chaikin(), catalog.chaikin(), (0, 10**9))
-    with pytest.raises(InvalidParameter, match="memory budget"):
+    with pytest.raises(InvalidParameter, match="level cap"):
         similarity_report(*unread, (0, 10**9))
 
 

@@ -3,12 +3,15 @@
 Every oracle here is an independent route to the quantity under test:
 polynomial long division instead of the alternating-sum recurrence,
 dictionary-based stencil sums instead of the convolution kernel, and the
-closed-form quadratic B-spline for limit checks.
+closed-form quadratic B-spline for limit checks.  ``assert_golden``
+compares an output with its committed record under ``tests/golden/``.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,3 +84,46 @@ def bspline2(x: float) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_MISSING = object()
+
+
+def _shown(value) -> str:
+    if value is _MISSING:
+        return "(missing)"
+    if isinstance(value, float):
+        return f"{value!r} ({value.hex()})"
+    return json.dumps(value)[:80]
+
+
+def json_diffs(got, want, path: str = "$"):
+    """Yield ``(path, got, want)`` for every JSON value where ``got`` and
+    ``want`` differ, floats bit for bit, members missing on one side
+    included."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(got.keys() | want.keys()):
+            yield from json_diffs(got.get(key, _MISSING), want.get(key, _MISSING),
+                                  f"{path}.{key}")
+    elif isinstance(got, list) and isinstance(want, list):
+        for i in range(max(len(got), len(want))):
+            yield from json_diffs(got[i] if i < len(got) else _MISSING,
+                                  want[i] if i < len(want) else _MISSING, f"{path}[{i}]")
+    elif type(got) is not type(want) or (
+        got.hex() != want.hex() if isinstance(got, float) else got != want
+    ):
+        yield path, got, want
+
+
+def assert_golden(text: str, name: str) -> None:
+    """``text`` must equal the golden file ``name`` byte for byte.  A
+    mismatch fails with each JSON path whose value differs, both values
+    and the float.hex of each float."""
+    want = (GOLDEN / name).read_bytes().decode("utf-8")
+    if text == want:
+        return
+    lines = [f"{path}: got {_shown(g)}, golden {_shown(w)}"
+             for path, g, w in json_diffs(json.loads(text), json.loads(want))]
+    pytest.fail(f"output differs from tests/golden/{name}:\n"
+                + ("\n".join(lines) or "the same JSON values, other bytes"), pytrace=False)

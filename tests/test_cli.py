@@ -27,6 +27,8 @@ from subdiv import catalog, cli, refine, schemes
 from subdiv.cli import main
 from subdiv.masks import coeff_norm, difference_mask
 
+from conftest import assert_golden
+
 
 def run(args):
     return main(args)
@@ -477,33 +479,40 @@ def test_figure2(tmp_path, capsys):
     assert "do not decay" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv, code, digests", [
+@pytest.mark.parametrize("argv, code, pins", [
     pytest.param(
         ["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--k-range", "1:12",
          "--out", "report.json", "--verbose"], 0,
-        {"report.json": "1792be2e413248d74607c5e16530201b00f8d6be4c1cdd290558b9bf177c1bc7"},
+        {"report.json": "analyze-verbose.report.json"},
         id="analyze-verbose"),
     pytest.param(
         ["compare", "--scheme", "derham:gamma=2,alpha=1.5",
          "--comparator", "derham_stationary:gamma=2", "--k-range", "1:256", "--out", "cmp"], 0,
-        {"cmp.json": "d52ae40bd0ed760487f84ddf006a7d755dcfc8001991b1d05a899c30f2a64f4d",
+        {"cmp.json": "compare.cmp.json",
          "cmp.csv": "dbeb027dbbf4d79b5ffa066a58a03ee956e673698a10edfd4c8389a14770cbf3"},
         id="compare"),
     pytest.param(
         ["certify", "--scheme", "derham:gamma=1.5,alpha=2.5",
          "--comparator", "derham_stationary:gamma=1.5", "--out", "cert.json"], 0,
-        {"cert.json": "00b8a6f021a6a0aebc572905caab8fd8dd40cb570191c3826eaadab766ce41c6"},
+        {"cert.json": "certify.cert.json"},
         id="certify"),
     pytest.param(
         ["certify", "--scheme", "perturbed_chaikin", "--comparator", "chaikin",
          "--out", "fail.json"], 3,
-        {"fail.json": "f73f402bcb8c9a0ea221309286592da4aa83d2c64892aa5d9e924ad0c2acf0f7"},
+        {"fail.json": "certify-exit3.fail.json"},
         id="certify-exit3"),
 ])
-def test_json_golden_digests(argv, code, digests, tmp_path, monkeypatch, capsys):
+def test_json_golden_digests(argv, code, pins, tmp_path, monkeypatch, capsys):
+    """Each file the command writes: a JSON file equals its golden file under
+    tests/golden/ byte for byte, and a CSV file keeps its SHA-256."""
     monkeypatch.chdir(tmp_path)
     assert run(argv) == code
-    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == digests
+    assert {p.name for p in tmp_path.iterdir()} == pins.keys()
+    for name, pin in pins.items():
+        if name.endswith(".json"):
+            assert_golden((tmp_path / name).read_text(encoding="utf-8"), pin)
+        else:
+            assert sha256(tmp_path / name) == pin
 
 
 @pytest.mark.parametrize("argv", [
@@ -989,12 +998,7 @@ def test_certify_late_window_keeps_bits(tmp_path):
     """A late window whose constants stay finite is certified as before."""
     assert run(["certify", *DERHAM_PAIR, "--k-range", "300:363",
                 "--out", str(tmp_path / "cert.json")]) == 0
-    assert json.loads((tmp_path / "cert.json").read_text())["certificate"]["C1"] == (
-        3.031244601502944e+37
-    )
-    assert sha256(tmp_path / "cert.json") == (
-        "a435955b11b5c077b94e1ff244d8f38c3b35653639a89893ce4d57e71b7e0368"
-    )
+    assert_golden((tmp_path / "cert.json").read_text(encoding="utf-8"), "late-window.cert.json")
 
 
 # Every option each subcommand takes, by dest.  An added or removed knob

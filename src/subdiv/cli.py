@@ -310,7 +310,7 @@ def cmd_analyze(args) -> int:
     # build and derive the listed levels as one block; the reads of each
     # level below then find them held, and raise any error of this read
     # at its own level, after listing the levels before it
-    with contextlib.suppress(Exception):
+    with contextlib.suppress(SubdivError):
         scheme.rows(levels[0], levels[-1], rules=True)
     all_ok = True
     for k in levels:

@@ -513,8 +513,9 @@ def decay_report(
     Divergence is a reported outcome, never an error; data that hold NaN
     or inf, or overflow, raise InvalidParameter naming the level.  With a
     certificate, which needs a run that starts at the scheme's k0, each
-    level is checked against C1 * mu_hat**k * ||initial differences|| for
-    the differences and Gamma * mu_hat**k * ... for the gaps.
+    level k is checked against C1 * mu_hat**max(0, k - k_star) *
+    ||initial differences|| for the differences and Gamma * mu_hat**max(0,
+    k - k_star) * ... for the gaps.
     """
     if k_max < initial.level + 4:
         raise InvalidParameter("k_max must allow at least 4 levels")
@@ -546,12 +547,9 @@ def decay_report(
     delta_bounds = cauchy_bounds = None
     bounds_hold = None
     if certificate is not None:
-        delta_bounds = tuple(
-            certificate.C1 * certificate.mu_hat ** k * d0 for k in ks
-        )
-        cauchy_bounds = tuple(
-            certificate.Gamma * certificate.mu_hat ** k * d0 for k in ks
-        )
+        c = certificate
+        delta_bounds = tuple(c.C1 * c.mu_hat ** max(0, k - c.k_star) * d0 for k in ks)
+        cauchy_bounds = tuple(c.Gamma * c.mu_hat ** max(0, k - c.k_star) * d0 for k in ks)
         bounds_hold = all(
             m <= b for m, b in zip(delta_norms, delta_bounds)
         ) and all(m <= b for m, b in zip(cauchy_norms, cauchy_bounds))
@@ -587,7 +585,9 @@ def limit_sample(
 ) -> LimitSample:
     """Refine to level ``depth`` and return (x, value) samples, with the
     certified error bound when a certificate is given (the run must then
-    start at the scheme's k0)."""
+    start at the scheme's k0): the sum of the certified gap bounds from
+    ``depth`` on, (C * mu_hat**max(0, depth - k_star) + Gamma * max(0,
+    k_star - depth)) * ||initial differences||."""
     if depth < max(1, initial.level + 1):
         raise InvalidParameter("depth must exceed the starting level")
     _check_certified_start(scheme, initial, certificate)
@@ -601,7 +601,9 @@ def limit_sample(
         raise failure
     bound = None
     if certificate is not None:
-        bound = certificate.C * certificate.mu_hat ** depth * d0
+        c = certificate
+        bound = (c.C * c.mu_hat ** max(0, depth - c.k_star)
+                 + c.Gamma * max(0, c.k_star - depth)) * d0
     final = RefinementState(depth, window)
     return LimitSample(
         level=depth, xs=final.xs(), values=window.values,

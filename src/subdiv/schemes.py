@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -607,15 +606,20 @@ class ConvergenceCertificate:
     scheme, assembled from a contraction witness.
 
     mu_hat = mu**(1/n) is the certified per-level decay rate, and ``eta``,
-    the rate quoted in the bound, equals it; C bounds the sup-distance to
-    the limit by C * mu_hat**k * ||initial differences||.
-    ``windowed`` marks certificates whose contraction rests on a finite
-    scanned window rather than an exact stationary product.
+    the rate quoted in the bound, equals it.  The bounds are anchored at
+    k_star = K + n - 1, the level from which every n levels contract by mu:
+    a level-k difference norm is at most C1 * mu_hat**max(0, k - k_star)
+    times the initial one, a level-k interpolant gap at most Gamma times
+    the same factor, and the sup-distance to the limit from level
+    k >= k_star at most C * mu_hat**(k - k_star) times it.  ``windowed``
+    marks certificates whose contraction rests on a finite scanned window
+    rather than an exact stationary product.
     """
 
     mu_star: float
     n: int
     K: int
+    k_star: int
     mu: float
     mu_hat: float
     eta: float
@@ -637,15 +641,25 @@ class ConvergenceCertificate:
     def from_dict(cls, obj) -> "ConvergenceCertificate":
         """Rebuild a certificate from ``to_dict`` output read back from a
         file.  Raises ValueError for a non-object, a field of the wrong
-        type, a non-finite number, or mu_hat outside (0, 1), and KeyError
-        for a missing field."""
+        type, a non-finite number, mu_hat outside (0, 1), or a k_star that
+        is missing or other than K + n - 1, and KeyError for another
+        missing field."""
         if not isinstance(obj, dict):
             raise ValueError("a certificate must be a JSON object")
         scan = obj.get("scan", {})
         if not isinstance(scan, dict):
             raise ValueError(f"certificate field 'scan' must be an object, got {scan!r}")
+        if "k_star" not in obj:
+            raise ValueError(
+                "certificate has no field 'k_star': it was written before "
+                "certificates were anchored at K + n - 1, so certify again"
+            )
         cert = cls(**{f.name: _field(obj, f.name, f.type) for f in fields(cls)
                       if f.name != "meta"}, meta=dict(scan))
+        if cert.k_star != cert.K + cert.n - 1:
+            raise ValueError(
+                f"certificate k_star = {cert.k_star} is not K + n - 1 = {cert.K + cert.n - 1}"
+            )
         if not 0.0 < cert.mu_hat < 1.0:
             raise ValueError(f"certificate mu_hat = {cert.mu_hat!r} is outside (0, 1)")
         return cert
@@ -673,20 +687,6 @@ def _field(obj: dict, key: str, kind: str):
     return value
 
 
-def _c1(best: float, mu_hat: float, levels: int) -> float:
-    """C1 = ``best / mu_hat**levels``, the least float not below the exact
-    quotient (to nearest, 1 / mu_hat can round below its bound), or inf
-    when ``best`` is not finite or the quotient is past the float range."""
-    if not math.isfinite(best):
-        return math.inf
-    exact = Fraction(best) / Fraction(mu_hat) ** levels
-    try:
-        c1 = float(exact)
-    except OverflowError:
-        return math.inf
-    return math.nextafter(c1, math.inf) if c1 < exact else c1
-
-
 def certify_theorem4(
     target: SchemeSpec,
     comparator: SchemeSpec,
@@ -701,17 +701,21 @@ def certify_theorem4(
     target reproduces constants on the scanned levels and is asymptotically
     similar to the comparator; transfer the contraction (mu defaults to the
     midpoint of (mu*, 1) and must lie in that interval, closed at mu* for a
-    stationary target); then assemble the explicit constants
+    stationary target); then assemble the explicit constants, anchored at
+    k_star = K + n - 1, where the contraction starts,
 
-        C1    -- start-up factor covering levels before the contraction
-                 kicks in,
+        C1    -- the start-up bound: the largest norm, and at least 1, of
+                 the products of the target's difference rules from k0 up
+                 to each level before k_star,
         C2    -- N * (sup of coefficient sup-norms + 1), from the hat-
                  function telescoping,
         Gamma -- N * C1 * C2, the per-level gap constant,
         C     -- Gamma / (1 - mu_hat), the geometric-series total,
 
-    plus the Holder exponent |log2 mu_hat| of the limit.  The certificate's
-    ``eta``, the rate quoted in the final bound, is mu_hat = mu**(1/n).
+    so that the level-k difference bound is C1 * mu_hat**max(0, k - k_star)
+    times the initial differences' norm, plus the Holder exponent
+    |log2 mu_hat| of the limit.  The certificate's ``eta``, the rate quoted
+    in the bounds, is mu_hat = mu**(1/n).
     """
     if comparator.kind != "stationary":
         raise InvalidParameter("comparator must be a stationary scheme")
@@ -725,27 +729,18 @@ def certify_theorem4(
     K, mu_used = witness.K, witness.mu
     mu_hat = mu_used ** (1.0 / n)
 
-    # Start-up constant: the worst prefix product of the target's
-    # difference rules before level K + n - 1, inflated by mu_hat's
-    # deficit over those levels.  A deficit too small to divide by, or a
-    # rate that rounds to 1, leaves no finite constant to certify.
+    # A rate that rounds to 1 leaves no finite constant to certify.
     if mu_hat == 1.0:
         raise InvalidParameter(
             f"mu_hat = mu**(1/n) rounds to 1.0 for mu = {mu_used!r}, n = {n}, "
             "so C = Gamma / (1 - mu_hat) is not finite"
         )
-    deficit = mu_hat ** (K + n - 1)
-    if deficit == 0.0 or math.isinf(1.0 / deficit):
-        raise InvalidParameter(
-            f"mu_hat**(K + n - 1) = {mu_hat!r}**{K + n - 1} is too small to "
-            "divide by, so C1 is not finite"
-        )
-    prefix = range(target.k0, K + n - 1)
-    check_budget(product_bytes(target.N, min(_EXACT_PRODUCT_CAP, len(prefix))),
-                 f"a C1 prefix over levels {target.k0} to {K + n - 2}")
-    rules = target.rows(target.k0, K + n - 2, rules=True)
-    best, c1_exact = _c1_prefix(rules)
-    C1 = _c1(best, mu_hat, K + n - 1)
+    # Start-up bound: the worst prefix product of the target's difference
+    # rules before level k_star, from which the contraction holds.
+    k_star = K + n - 1
+    check_budget(product_bytes(target.N, min(_EXACT_PRODUCT_CAP, k_star - target.k0)),
+                 f"a C1 prefix over levels {target.k0} to {k_star - 1}")
+    C1, c1_exact = _c1_prefix(target.rows(target.k0, k_star - 1, rules=True))
 
     bound = boundedness_estimate(target, (transfer_meta["k_lo"], transfer_meta["k_hi"]))
     C2 = target.N * (bound.coeff_sup + 1.0)
@@ -767,7 +762,7 @@ def certify_theorem4(
             target.mask_at(target.k0) - comparator.mask_at(comparator.k0)) <= TOL,
     }
     return ConvergenceCertificate(
-        mu_star=mu_star, n=n, K=K, mu=mu_used, mu_hat=mu_hat, eta=mu_hat,
+        mu_star=mu_star, n=n, K=K, k_star=k_star, mu=mu_used, mu_hat=mu_hat, eta=mu_hat,
         C1=C1, C2=C2, Gamma=Gamma, C=C, holder_exponent=holder,
         provenance="theorem2" if stationary_target else "theorem4",
         windowed=witness.windowed, meta=meta,

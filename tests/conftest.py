@@ -4,7 +4,8 @@ Every oracle here is an independent route to the quantity under test:
 polynomial long division instead of the alternating-sum recurrence,
 dictionary-based stencil sums instead of the convolution kernel, and the
 closed-form quadratic B-spline for limit checks.  ``assert_golden``
-compares an output with its committed record under ``tests/golden/``.
+compares an output with its committed record under ``tests/golden/``, and
+``tension_scheme`` gives the 4-point items that several modules certify.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from subdiv.masks import Mask
 from subdiv.operators import Window
+from subdiv.schemes import AnalyticSimilarity, formula_scheme
 
 
 def polydiv_by_1_plus_z(m: Mask) -> Mask:
@@ -79,6 +81,20 @@ def bspline2(x: float) -> float:
     if 2.0 <= x < 3.0:
         return 0.5 * (3.0 - x) ** 2
     return 0.0
+
+
+def tension_mask(w: float) -> Mask:
+    return Mask(-3, (-w, 0.0, 0.5 + w, 1.0, 0.5 + w, 0.0, -w))
+
+
+def tension_scheme(w: float = 0.27, b: float = 0.2):
+    """The 4-point rule with tension w + b/k: its stationary limit needs
+    products of n = 2 rules to contract.  Its flags say that it decays to
+    that limit like b/k."""
+    return formula_scheme(
+        lambda k: tension_mask(w + b / k), k0=1, N=3,
+        analytic=AnalyticSimilarity(tension_mask(w), eps_is_o1=True, eps_summable=False),
+    )
 
 
 @pytest.fixture

@@ -65,6 +65,24 @@ def test_analyze_precondition_past_listed_levels(tmp_path, capsys):
     assert reason["level"] == 18
 
 
+def test_analyze_block_read_hides_no_unexpected_error(monkeypatch, capsys):
+    """analyze reads its levels as one block and leaves a SubdivError of
+    that read to the level that raises it, after the levels before it.  Any
+    other error, such as a failed reconstruction's RuntimeError, is raised
+    at once, though the reads level by level would not raise it."""
+    derive = schemes.difference_rows
+
+    def failing(rows):
+        if len(rows) > 1:
+            raise RuntimeError("difference-mask reconstruction failed")
+        return derive(rows)
+
+    monkeypatch.setattr(schemes, "difference_rows", failing)
+    with pytest.raises(RuntimeError, match="reconstruction failed"):
+        run(["analyze", "--scheme", "derham:gamma=2,alpha=1.5", "--k-range", "1:8"])
+    assert "level 1:" not in capsys.readouterr().out
+
+
 def test_analyze_k_range_clamped(tmp_path, capsys):
     """analyze clamps --k-range to the scheme's domain, as compare and
     certify do: level 0 of a scheme that starts at level 1 is dropped."""
@@ -274,6 +292,30 @@ def test_refine_certificate_target(payload, tmp_path, capsys):
     else:
         assert code == 0
         assert "certified bounds hold" in captured.out
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda cert: cert.pop("k_star"),
+                 "certificate has no field 'k_star': it was written before certificates "
+                 "were anchored at K + n - 1, so certify again", id="unanchored"),
+    pytest.param(lambda cert: cert.update(k_star=1),
+                 "certificate k_star = 1 is not K + n - 1 = 2", id="k_star-moved"),
+])
+def test_refine_refuses_unanchored_certificate(edit, message, tmp_path, capsys):
+    """A certificate file without k_star, written when the bounds were
+    C1 * mu_hat**k with C1 divided by mu_hat**(K + n - 1), or with a k_star
+    other than K + n - 1, is refused on load (exit 2), never read in the
+    other form."""
+    scheme = "derham:gamma=2,alpha=1.5"
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", "--scheme", scheme, "--comparator", "derham_stationary:gamma=2",
+                "--out", str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    edit(payload["certificate"])
+    cert_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["refine", "--scheme", scheme, "--certificate", str(cert_path)]) == 2
+    assert capsys.readouterr().err == f"error loading certificate: {message}\n"
 
 
 @pytest.mark.parametrize("level, code", [(1, 0), (5, 3)])
@@ -967,35 +1009,42 @@ FOUR_POINT_SCHEME = {"kind": "stationary", "N": 3, "mask": {
 DERHAM_PAIR = ["--scheme", "derham:gamma=2,alpha=1.5", "--comparator", "derham_stationary:gamma=2"]
 
 
-@pytest.mark.parametrize("argv, message", [
-    pytest.param([*DERHAM_PAIR, "--k-range", "2500:2563"],
-                 "0.75**2500 is too small to divide by", id="derham-2500"),
-    pytest.param([*DERHAM_PAIR, "--k-range", "3000:3063"],
-                 "0.75**3000 is too small to divide by", id="derham-3000"),
-    pytest.param(["--scheme", "chaikin", "--comparator", "chaikin", "--k-range", "2600:2663"],
-                 "0.75**2600 is too small to divide by", id="chaikin-2600"),
+@pytest.mark.parametrize("argv, code, line", [
+    pytest.param([*DERHAM_PAIR, "--k-range", "2500:2563"], 0,
+                 "K=2500 mu_hat=0.75 C=29.090909090909093", id="derham-2500"),
+    pytest.param([*DERHAM_PAIR, "--k-range", "3000:3063"], 0,
+                 "K=3000 mu_hat=0.75 C=29.090909090909093", id="derham-3000"),
+    pytest.param([*DERHAM_PAIR, "--k-range", "4000:4063"], 0,
+                 "K=4000 mu_hat=0.75 C=29.090909090909093", id="derham-4000"),
+    pytest.param(["--scheme", "chaikin", "--comparator", "chaikin", "--k-range", "2600:2663"], 0,
+                 "K=2600 mu_hat=0.75 C=28.0", id="chaikin-2600"),
     pytest.param(["--scheme", "four.json", "--comparator", "four.json",
-                  "--mu", "0.9999999999999999"], "rounds to 1.0", id="four-point-mu"),
+                  "--mu", "0.9999999999999999"], 3, "rounds to 1.0", id="four-point-mu"),
 ])
-def test_certify_refuses_non_finite_constants(argv, message, tmp_path, monkeypatch, capsys):
-    """A window so late that mu_hat**(K + n - 1) cannot be divided by, or a
-    mu whose rate mu**(1/n) rounds to 1, exits 3 with one failure record:
-    no Infinity in the file, no traceback."""
+def test_certify_refuses_non_finite_constants(argv, code, line, tmp_path, monkeypatch, capsys):
+    """No certificate holds a non-finite constant.  A late window, where
+    mu_hat**(K + n - 1) underflows, certifies with the constants of its
+    levels alone, since the bounds are anchored at k_star = K + n - 1.  A
+    mu whose rate mu**(1/n) rounds to 1 exits 3 with one failure record.
+    No Infinity in the file, no traceback."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "four.json").write_text(json.dumps(FOUR_POINT_SCHEME))
-    assert run(["certify", *argv, "--out", "cert.json"]) == 3
+    assert run(["certify", *argv, "--out", "cert.json"]) == code
     text = (tmp_path / "cert.json").read_text()
     assert "Infinity" not in text
     record = one_record(text)
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert record["certified"] is True and line in out and not err
+        return
     assert record["certified"] is False and record["reason"]["type"] == "InvalidParameter"
-    assert message in record["reason"]["message"]
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: InvalidParameter: {record['reason']['message']}"
-    ]
+    assert line in record["reason"]["message"]
+    assert err.splitlines() == [f"error: InvalidParameter: {record['reason']['message']}"]
 
 
 def test_certify_late_window_keeps_bits(tmp_path):
-    """A late window whose constants stay finite is certified as before."""
+    """A late window certifies with the constants of an early one: K moves
+    with the window, and C1, Gamma and C do not."""
     assert run(["certify", *DERHAM_PAIR, "--k-range", "300:363",
                 "--out", str(tmp_path / "cert.json")]) == 0
     assert_golden((tmp_path / "cert.json").read_text(encoding="utf-8"), "late-window.cert.json")

@@ -274,6 +274,20 @@ def test_limit_sample_chaikin_matches_bspline():
     assert ls.error_bound == pytest.approx(cert.C * cert.mu_hat ** 12, abs=1e-12)
 
 
+def test_limit_sample_bound_before_k_star():
+    """From a depth before k_star, the bound adds Gamma * d0 for each level
+    before k_star to the C * d0 that covers the levels from k_star on; from
+    k_star on it is C * mu_hat**(depth - k_star) * d0.  Either way it is at
+    least the sum of the gaps that a run measures from that depth on."""
+    t = catalog.derham_nonstationary(2.0, alpha=1.5)
+    cert = certify_theorem4(t, catalog.chaikin(), k_range=(8, 71))
+    assert cert.k_star == 8
+    gaps = decay_report(t, impulse(8, level=1), 20).cauchy_norms
+    for depth, bound in ((6, cert.C + cert.Gamma * 2), (10, cert.C * cert.mu_hat ** 2)):
+        ls = limit_sample(t, impulse(8, level=1), depth, certificate=cert)
+        assert ls.error_bound == bound >= sum(gaps[depth - 1:])
+
+
 def test_limit_sample_constant():
     ls = limit_sample(catalog.chaikin(), constant(3.0, 6), 6)
     assert np.allclose(ls.values, 3.0, atol=1e-14)

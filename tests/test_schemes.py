@@ -16,7 +16,6 @@ from subdiv.masks import Mask, coeff_norm, difference_mask, difference_rows
 from subdiv.operators import compose_all, condition_a_search, product_norm, residue_class_norm
 from subdiv.schemes import (
     _EXACT_PRODUCT_CAP,
-    AnalyticSimilarity,
     ConvergenceCertificate,
     SchemeSpec,
     _c1_prefix,
@@ -30,7 +29,7 @@ from subdiv.schemes import (
     transfer_condition_a,
 )
 
-from conftest import assert_golden, random_cr_mask
+from conftest import assert_golden, random_cr_mask, tension_mask, tension_scheme
 
 
 def test_scheme_domain_checks():
@@ -561,9 +560,11 @@ def test_certificate_json_roundtrip():
 
 
 def test_certificate_from_dict_names_first_bad_field():
-    """from_dict checks the fields in their declared order, after 'scan',
-    and names the first bad one: a bool is no int, and a number must be
-    finite."""
+    """from_dict checks the fields in their declared order, after 'scan'
+    and the presence of 'k_star', and names the first bad one: a bool is
+    no int, and a number must be finite.  A k_star other than K + n - 1 is
+    refused, and so is a file without one, written before certificates
+    were anchored at k_star, whatever else it holds."""
     good = certify_theorem4(catalog.chaikin(), catalog.chaikin()).to_dict()
     cases = [
         ({"n": True}, "certificate field 'n' must be a int, got True"),
@@ -575,11 +576,18 @@ def test_certificate_from_dict_names_first_bad_field():
         ({"windowed": 1, "mu_star": "x"},
          "certificate field 'mu_star' must be a finite number, got 'x'"),
         ({"mu_star": "x", "scan": []}, "certificate field 'scan' must be an object, got []"),
+        ({"k_star": 1}, "certificate k_star = 1 is not K + n - 1 = 0"),
+        ({"k_star": 0.0}, "certificate field 'k_star' must be a int, got 0.0"),
     ]
     for bad, message in cases:
         with pytest.raises(ValueError) as exc:
             ConvergenceCertificate.from_dict({**good, **bad})
         assert str(exc.value) == message
+    old = dict(good)
+    del old["k_star"], old["mu_star"]
+    with pytest.raises(ValueError, match="^certificate has no field 'k_star': it was written "
+                       "before certificates were anchored at K [+] n - 1, so certify again$"):
+        ConvergenceCertificate.from_dict(old)
     del good["eta"]
     with pytest.raises(KeyError, match="eta"):
         ConvergenceCertificate.from_dict(good)
@@ -591,20 +599,6 @@ def test_certify_stationary_sweep_all_n1():
         cert = certify_theorem4(s, s)
         assert cert.n == 1
         assert cert.mu_star == pytest.approx(max(2.0, gamma) / (2.0 + gamma), abs=1e-12)
-
-
-def tension_mask(w: float) -> Mask:
-    return Mask(-3, (-w, 0.0, 0.5 + w, 1.0, 0.5 + w, 0.0, -w))
-
-
-def tension_scheme(w: float = 0.27, b: float = 0.2):
-    """The 4-point rule with tension w + b/k: its stationary limit needs
-    products of n = 2 rules to contract.  Its flags say that it decays to
-    that limit like b/k."""
-    return formula_scheme(
-        lambda k: tension_mask(w + b / k), k0=1, N=3,
-        analytic=AnalyticSimilarity(tension_mask(w), eps_is_o1=True, eps_summable=False),
-    )
 
 
 def difference_rules(target, stop):
@@ -650,34 +644,35 @@ def test_c1_prefix_chunks_align_at_k0():
     """The stiff tension item's certificate: its C1 prefix is worst at 18
     levels, the first block times the first two levels after it, so
     k0-aligned blocks give a C1 24% above the newest-first chunks'
-    34812196.556231655."""
+    (1487.3 at that prefix, test_c1_prefix_matches_recomposing)."""
     target = tension_scheme(0.26, 3.0)
     cert = certify_theorem4(target, stationary_scheme(tension_mask(0.26), N=3), k_range=(1, 256))
-    assert (cert.K, cert.n, cert.C1, cert.meta["c1_exact"]) == (172, 2, 43134105.66004175, False)
+    assert (cert.K, cert.n, cert.k_star) == (172, 2, 173)
+    assert (cert.C1, cert.meta["c1_exact"]) == (1842.8811514618765, False)
 
 
-@pytest.mark.parametrize("gamma, alpha, K, C1", [
-    (1.05, 19.5, 43, 3370.1842631892446),
-    (1.2, 15.0, 27, 272.12536177896885),
-])
-def test_c1_pinned_bits(gamma, alpha, K, C1):
-    """C1 of the slowest corner-cutting items keeps its pinned bits: the
-    exact quotient rounded up to a float."""
+@pytest.mark.parametrize("gamma, alpha, K", [(1.05, 19.5, 43), (1.2, 15.0, 27)])
+def test_c1_pinned_bits(gamma, alpha, K):
+    """C1 of the slowest corner-cutting items, whose prefixes of K - 1
+    levels span more than one block: each corner-cutting difference rule
+    has norm at most 1, so the prefix bound is 1.0, and the bounds before
+    level K are d0 itself."""
     cert = certify_theorem4(catalog.derham_nonstationary(gamma, alpha=alpha),
                             catalog.derham_stationary(gamma), k_range=(1, 256))
-    assert (cert.K, cert.C1, cert.meta["c1_exact"]) == (K, C1, False)
+    assert (cert.K, cert.k_star, cert.C1, cert.meta["c1_exact"]) == (K, K, 1.0, False)
 
 
 def test_c1_rounds_up():
-    """With K = n = 1, C1 = 1 / mu_hat.  Rounded to nearest it came out one
-    ulp low, so an impulse's level-1 difference norm 1.0 exceeded its bound
-    C1 * mu_hat = 0.9999999999999999.  Rounded up, the bounds hold."""
+    """With K = n = 1, k_star is k0 and the prefix is empty: C1 = 1.0 and
+    an impulse's level-1 difference bound is its norm d0 = 1.0 itself.  The
+    quotient form's C1 = 1 / mu_hat, rounded to nearest, once came out one
+    ulp low there, so that this bound read 0.9999999999999999."""
     gamma = 1.8540721346061517
     target = catalog.derham_nonstationary(gamma, alpha=0.7063320684614316)
     cert = certify_theorem4(target, catalog.derham_stationary(gamma), k_range=(1, 64))
-    assert (cert.K, cert.n, cert.C1) == (1, 1, 1.316714945080001)
-    assert cert.C1 * cert.mu_hat >= 1.0
+    assert (cert.K, cert.n, cert.C1) == (1, 1, 1.0)
     report = refine.decay_report(target, refine.impulse(8, level=1), 8, certificate=cert)
+    assert report.delta_bounds[0] == report.delta_norms[0] == 1.0
     assert report.bounds_hold
 
 

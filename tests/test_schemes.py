@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -784,6 +785,18 @@ def test_certification_golden_digest():
     tests/golden/certification_record.json, one value a line."""
     text = json.dumps(certification_record(), indent=1, sort_keys=True) + "\n"
     assert_golden(text, "certification_record.json")
+
+
+def test_certification_certificates_digest():
+    """The record's certificates alone keep the bits they had when each
+    product of n >= 2 rules was composed one start level at a time, with
+    C1 anchored at k_star. Pinned apart from the golden file, so that a
+    rewritten file does not carry a certificate change through unseen."""
+    certificates = [r for r in certification_record() if isinstance(r, dict)]
+    text = json.dumps(certificates, sort_keys=True)
+    assert len(certificates) == 12 and hashlib.sha256(text.encode()).hexdigest() == (
+        "9d19cd507d89f1ac85f56d955b1d3202e8ba7256620d14a9526bde095eebe33a"
+    )
 
 
 @pytest.mark.parametrize("target, comparator", [

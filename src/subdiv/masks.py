@@ -152,9 +152,11 @@ def class_norm(stencil: tuple[int, Sequence[float]], arity: int) -> float:
     ``base % arity`` in rows of ``arity`` columns, one column a class, and
     a column sum adds its rows in order; so the loop and the column sums
     both add the weights of a class in index order, and the +0.0 that pads
-    the rows adds nothing: they give the same sums bit for bit."""
+    the rows adds nothing: they give the same sums bit for bit.  One class
+    takes the loop, since numpy sums a single contiguous column pairwise,
+    not in index order."""
     base, coeffs = stencil
-    if len(coeffs) > _SHORT_STENCIL:
+    if len(coeffs) > _SHORT_STENCIL and arity > 1:
         offset = base % arity
         stop = offset + len(coeffs)
         weights = np.zeros(-(-stop // arity) * arity)

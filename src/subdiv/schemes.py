@@ -122,15 +122,16 @@ class SchemeSpec:
 
     ``kind`` is one of "stationary", "table", "formula".  ``mask_fn`` must
     be a pure function of k: each level's mask is built and checked on its
-    first read, and held with the scheme together with its difference rule
-    once that is derived, so later reads see the first result.  Every mask
-    must fit in [-N, N].  Table schemes are only defined up to
-    ``max_level``.  ``bound_hint`` asserts a known supremum of the
-    coefficient sup-norms over all levels, replacing windowed estimates in
-    the error constants.  ``rows_fn``, which the catalog gives where its
-    masks are array operations, maps levels lo to hi to the rows from index
-    -N (2N + 1 columns) of their masks, bit for bit as ``mask_fn``'s, and
-    stops before the first level that ``mask_fn`` refuses.
+    first read, and held in the scheme's level table together with its
+    difference rule once that is derived; a level read again after its
+    table was replaced is built again.  Every mask must fit in [-N, N].
+    Table schemes are only defined up to ``max_level``.  ``bound_hint``
+    asserts a known supremum of the coefficient sup-norms over all levels,
+    replacing windowed estimates in the error constants.  ``rows_fn``,
+    which the catalog gives where its masks are array operations, maps
+    levels lo to hi to the rows from index -N (2N + 1 columns) of their
+    masks, bit for bit as ``mask_fn``'s, and stops before the first level
+    that ``mask_fn`` refuses.
     """
 
     kind: str
@@ -143,29 +144,26 @@ class SchemeSpec:
     analytic: AnalyticSimilarity | None = None
     descriptor: dict | None = None
     rows_fn: Callable[[int, int], np.ndarray] | None = field(default=None, repr=False)
-    # the level table, from k0; a stationary scheme holds its one level
-    _table: _LevelTable = field(init=False, repr=False)
-    # the table of the latest range read past the levels _table holds
-    _window: _LevelTable | None = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_table", _LevelTable(self.k0))
+    # the level table, made on the first read; a stationary scheme holds
+    # its one level
+    _table: _LevelTable | None = field(init=False, repr=False, default=None)
 
     def rows(self, lo: int, hi: int, rules: bool = False) -> np.ndarray:
         """The rows of levels lo to hi from index -N: their masks, or their
         difference rules when ``rules``, read-only.
 
         A level's mask is built on its first read and its rule derived on
-        the first read of rules, both then held in the level table from k0.
-        A range that starts past the levels held is read into a window table
-        of its own, so the levels between are never built; the scheme holds
-        the latest window, and a range that starts inside it or right after
-        it reads on from it.  A read that would make its table span more
-        than MAX_LEVELS levels from the table's start (a stationary scheme's
+        the first read of rules, both then held in the scheme's one level
+        table.  A range that starts inside the table or right after it
+        reads on from it; any other range starts a table at its first
+        level, which replaces the one held, so the levels before it are
+        never built.  A read that would make its table span more than
+        MAX_LEVELS levels from the table's start (a stationary scheme's
         read: more than MAX_LEVELS levels) is refused with InvalidParameter
-        before any level is built.  A reading of rules raises for the first
-        level of the range, in level order, whose mask cannot be built or
-        has no rule; a level that does not reproduce constants raises
+        before any level is built, so a scheme holds at most MAX_LEVELS
+        levels.  A reading of rules raises for the first level of the
+        range, in level order, whose mask cannot be built or has no rule; a
+        level that does not reproduce constants raises
         NotConstantReproducing tagged with its level."""
         if hi < lo:
             return np.zeros((0, 2 * self.N + (not rules)))
@@ -180,12 +178,11 @@ class SchemeSpec:
                 )
         table = self._table
         if self.kind == "stationary":
+            table = table or _LevelTable(self.k0)
             start, first, last = lo, 0, 0
         else:
-            if lo > table.start + table.built:
-                table = self._window
-                if table is None or not table.start <= lo <= table.start + table.built:
-                    table = _LevelTable(lo)
+            if table is None or not table.start <= lo <= table.start + table.built:
+                table = _LevelTable(lo)
             start = table.start
             first, last = lo - start, hi - start
         if hi - start >= MAX_LEVELS:
@@ -193,8 +190,7 @@ class SchemeSpec:
                 f"reading levels {lo} to {hi} spans {hi - start + 1} levels from "
                 f"level {start}, past the level cap of {MAX_LEVELS} levels"
             )
-        if table is not self._table:
-            object.__setattr__(self, "_window", table)
+        object.__setattr__(self, "_table", table)
         if not rules:
             table.build(self, last)
             block = table.masks[first : last + 1]

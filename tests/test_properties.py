@@ -198,12 +198,12 @@ def test_mask_sum_and_difference_are_index_loop(a, b):
 @st.composite
 def long_stencils(draw):
     """``(stencil, arity)``: 33 to 4096 coefficients, past class_norm's
-    loop, from a base within about 10**6 of 0, and an arity 2**j for
-    j = 1..16.  Some lengths sit one below, at or one past a multiple of
+    short-stencil loop, from a base within about 10**6 of 0, and an arity
+    2**j for j = 0..16, where arity 1 takes the loop whatever the length.  Some lengths sit one below, at or one past a multiple of
     the arity, and some bases put the stencil's end there.  The
     coefficients are floats within a drawn span of binades, some replaced
     by signed zeros and subnormals."""
-    arity = 2 ** draw(st.integers(1, 16))
+    arity = 2 ** draw(st.integers(0, 16))
     near = [n for k in range(1, 4096 // arity + 2) for n in (k * arity - 1, k * arity, k * arity + 1)
             if 33 <= n <= 4096]
     lengths = st.integers(33, 4096)
@@ -224,11 +224,13 @@ def long_stencils(draw):
 @given(long_stencils())
 def test_long_class_norm_is_loop(case):
     """The class sums of a long stencil, taken as column sums of its
-    weights laid out in rows of ``arity``, are the loop's bit for bit."""
+    weights laid out in rows of ``arity`` (or, for one class, by the loop),
+    are the loop's bit for bit, and so are ``class_norms``'."""
     (base, coeffs), arity = case
     want = loop_class_norm(SimpleNamespace(base=base, coeffs=coeffs.tolist()), arity)
     assert class_norm((base, coeffs), arity) == want
     assert class_norm((base, tuple(coeffs.tolist())), arity) == want
+    assert class_norms(coeffs[None], base, arity)[0] == want
 
 
 @derandomized

@@ -147,7 +147,7 @@ def test_level_charges_cover_what_is_held(read, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(t.built for s in (target, comparator) for t in (s._table, s._window) if t)
+    held = sum(s._table.built for s in (target, comparator) if s._table)
     assert held >= CHARGED_LEVELS // 4
     assert peak <= operators.MEMORY_BUDGET // schemes.MAX_LEVELS * held + max(charged)
 
@@ -189,8 +189,9 @@ def test_level_cap_bounds_each_read(monkeypatch):
 def test_table_cap_refuses_calls_that_add_up(monkeypatch):
     """Calls on one scheme object add up in its table, so the call that
     would take the table past the level cap is refused before any level of
-    its range is read: no table ever spans more than MAX_LEVELS levels, nor
-    a scheme's two tables more than twice that, however many calls."""
+    its range is read: no table ever spans more than MAX_LEVELS levels,
+    however many calls, and the late calls' table replaces the one from
+    k0."""
     monkeypatch.setattr(schemes, "MAX_LEVELS", 2000)
     reads = []
     scheme = reads_recorded(reads)
@@ -208,9 +209,9 @@ def test_table_cap_refuses_calls_that_add_up(monkeypatch):
             pytest.fail("no call was refused")
         assert call == 2 and len(reads) == held
     assert reads == [*range(1, 1401), *range(10**6 + 1, 10**6 + 1401)]
-    tables = scheme._table, scheme._window
-    assert [t.built for t in tables] == [1400, 1400]
-    assert all(len(t.masks) <= schemes.MAX_LEVELS for t in tables)
+    table = scheme._table
+    assert (table.start, table.built) == (10**6 + 1, 1400)
+    assert len(table.masks) <= schemes.MAX_LEVELS
 
 
 def test_table_cap_serves_held_levels(monkeypatch):
@@ -245,10 +246,11 @@ def test_similarity_late_window_reads_only_its_levels():
 
 
 def test_late_window_is_held_and_charged(monkeypatch):
-    """The latest window a scheme reads past its level table stays with it:
-    a later read inside it or right after it builds only the levels it
-    lacks, and counts against the level cap from the window's first level,
-    apart from the level table from k0."""
+    """A window a scheme reads past its level table becomes its table: a
+    later read inside it or right after it builds only the levels it
+    lacks, and counts against the level cap from the window's first level.
+    A read from k0 then replaces it, so the window's levels are built
+    again when read again."""
     monkeypatch.setattr(schemes, "MAX_LEVELS", 200)
     reads = []
     scheme = reads_recorded(reads)
@@ -260,7 +262,25 @@ def test_late_window_is_held_and_charged(monkeypatch):
         scheme.mask_at(500200)
     assert reads == list(range(500000, 500200))
     boundedness_estimate(scheme, (1, 200))
-    assert reads[200:] == list(range(1, 201)) and scheme._window.built == 200
+    assert reads[200:] == list(range(1, 201))
+    scheme.mask_at(500000)
+    assert reads[400:] == [500000]
+
+
+def test_scheme_holds_one_table(monkeypatch):
+    """A scheme object never holds more than MAX_LEVELS levels: after 1500
+    late levels and 1500 levels from k0, at a cap of 2000, it holds only
+    the levels from k0, and reading the late range again builds it
+    again."""
+    monkeypatch.setattr(schemes, "MAX_LEVELS", 2000)
+    reads = []
+    scheme = reads_recorded(reads)
+    late = range(10**6, 10**6 + 1500)
+    boundedness_estimate(scheme, (late[0], late[-1]))
+    boundedness_estimate(scheme, (1, 1500))
+    assert (scheme._table.start, scheme._table.built) == (1, 1500)
+    boundedness_estimate(scheme, (late[0], late[-1]))
+    assert reads == [*late, *range(1, 1501), *late]
 
 
 @pytest.mark.parametrize("read", [

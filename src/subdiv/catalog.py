@@ -224,13 +224,16 @@ def scheme_from_dict(obj: dict) -> SchemeSpec:
     Kinds: {"kind": "stationary", "mask": {...}, "N": ...},
     {"kind": "table", "masks": [...], "k0": ..., "N": ...}, and
     {"kind": "formula", "name": ..., "params": {...}, "k0": ..., "N": ...}.
-    Mask literals are {"base": ..., "coeffs": [...]}.
+    Mask literals are {"base": ..., "coeffs": [...]}.  ``N`` (null: the
+    masks' own) is a JSON integer >= 0 and ``k0`` a JSON integer, no bool.
     """
     if not isinstance(obj, dict):
         raise InvalidParameter("a scheme description must be a JSON object")
-    kind = obj.get("kind")
-    N = None if obj.get("N") is None else int(obj["N"])
-    k0 = int(obj.get("k0", 0))
+    kind, N, k0 = obj.get("kind"), obj.get("N"), obj.get("k0", 0)
+    if N is not None and (type(N) is not int or N < 0):
+        raise InvalidParameter(f"scheme N must be an integer of at least 0, got {N!r}")
+    if type(k0) is not int:
+        raise InvalidParameter(f"scheme k0 must be an integer, got {k0!r}")
     if kind == "stationary":
         return stationary_scheme(Mask.from_dict(obj["mask"]), N=N)
     if kind == "table":

@@ -339,22 +339,16 @@ def cmd_analyze(args) -> int:
             "constant reproduction fails on scanned levels; no difference "
             "scheme exists"
         )
+    search = {"n_max": args.n_max, "K_max": args.K_max, "window": args.window}
     try:
         # the search also reads levels past the ones listed above
-        witness = condition_a_search(
-            scheme, n_max=args.n_max, K_max=args.K_max, window=args.window
-        )
+        witness = condition_a_search(scheme, **search)
     except ContractionNotFound as exc:
         report["scan"] = [list(c) for c in exc.scan]
         raise
     report["contraction"] = witness.to_dict()
     if args.verbose:
-        report["scan"] = [
-            list(c)
-            for c in contraction_scan(
-                scheme, n_max=args.n_max, K_max=args.K_max, window=args.window
-            )
-        ]
+        report["scan"] = [list(c) for c in contraction_scan(scheme, **search)]
     print(
         f"contraction: K={witness.K} n={witness.n} mu={witness.mu!r} "
         f"(window={witness.window}, windowed={witness.windowed})"

@@ -1,4 +1,6 @@
-"""Finitely supported coefficient masks: symbols, norms, and factorizations.
+"""Finitely supported coefficient masks: symbols, norms, and factorizations,
+and the coefficient kernels on stencils and on blocks of rows that every
+norm, difference, composition and product of rules runs on.
 
 A mask is a finite list of real coefficients anchored at an integer base
 index; everything outside the stored range is zero.  Masks are immutable
@@ -8,6 +10,7 @@ share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -237,6 +240,14 @@ def compose_coeffs(
     return _trimmed(o_base + arity * i_base, np.convolve(o, up), 0.0)
 
 
+def products(rules: Sequence[tuple[int, Sequence[float]]]):
+    """The stencils of the products of the first 1, 2, ... arity-2 rules,
+    given as stencils, in level order, the first rule acting first, as an
+    iterator: each step composes the next level's rule onto the held
+    product as the outer factor, q(z) * P(z**2)."""
+    return itertools.accumulate(rules, lambda held, rule: compose_coeffs(rule, held, 2))
+
+
 def product_rows(rules: np.ndarray, n: int) -> np.ndarray:
     """The products of every n consecutive rules of a block of rule rows
     from index -N, in level order: row k holds the rules ``k`` to
@@ -258,6 +269,48 @@ def product_rows(rules: np.ndarray, n: int) -> np.ndarray:
         base, coeffs = product
         out[k, base : base + len(coeffs)] = coeffs
     return out
+
+
+# Peak bytes per coefficient while a product of n rules of a scheme with
+# locality N is composed and its norm taken, counting the product as
+# 2N * 2**n coefficients, or while a block of ``product_norms`` is,
+# counting the block as at least _PRODUCT_BLOCK coefficients.
+# tracemalloc measured about 14 for product_norm of Chaikin's difference
+# rule; 64 keeps a margin of over 4x.
+_PRODUCT_BYTES = 64
+# Coefficients per block of ``product_norms``: 1 MiB of rows, whose norms
+# ``class_norms`` takes in one pass over the block.
+_PRODUCT_BLOCK = 2**17
+
+
+def product_bytes(N: int, n: int) -> int:
+    """Peak bytes of a product of n rules of a scheme with locality N."""
+    return _PRODUCT_BYTES * 2 * N << min(n, 64)
+
+
+def block_bytes(N: int, n: int) -> int:
+    """Peak bytes of a block of ``product_norms`` for a scheme with
+    locality N: a block holds at most _PRODUCT_BLOCK coefficients, or one
+    product."""
+    return max(_PRODUCT_BYTES * _PRODUCT_BLOCK, product_bytes(N, n))
+
+
+def product_norms(rules: np.ndarray, n: int, minus: np.ndarray | None = None):
+    """The class norms at arity 2**n of ``product_rows(rules, n)`` and,
+    given product rows ``minus``, those of the products less ``minus`` too,
+    as a pair.  The products are composed in blocks of at most
+    _PRODUCT_BLOCK coefficients, or one product; each norm is
+    ``class_norm`` of its product's stencil, bit for bit."""
+    N, starts = rules.shape[1] // 2, max(len(rules) - n + 1, 0)
+    base, arity = -N * (2**n - 1), 2**n
+    step = max(1, _PRODUCT_BLOCK // ((rules.shape[1] - 1) * (2**n - 1) + 1))
+    norms, less = np.empty(starts), np.empty(starts)
+    for a in range(0, starts, step):
+        rows = product_rows(rules[a : a + step + n - 1], n)
+        norms[a : a + len(rows)] = class_norms(rows, base, arity)
+        if minus is not None:
+            less[a : a + len(rows)] = class_norms(rows - minus, base, arity)
+    return norms if minus is None else (norms, less)
 
 
 def symbol_eval(m: Mask, z: complex) -> complex:

@@ -1,20 +1,18 @@
 """Subdivision operators on finite windows: application, composition of
-level rules into higher-arity products, operator norms, and the windowed
-contraction search."""
+rules into higher-arity products in operator order and their norms, the
+memory budget, and the windowed contraction search, which takes its
+product norms from ``masks.product_norms``."""
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractionNotFound, EmptyOutput, InvalidParameter
-from .masks import (
-    Mask, class_norm, class_norms, compose_coeffs, product_rows, row_stencils, stencil,
-)
+from .masks import Mask, block_bytes, class_norm, compose_coeffs, product_norms, stencil
 
 
 class Window:
@@ -82,13 +80,6 @@ class Window:
 # A request whose estimated memory exceeds this many bytes is refused with
 # InvalidParameter before it allocates anything (the CLI's exit 3).
 MEMORY_BUDGET = 2**30
-# Peak bytes per coefficient while a product of n rules of a scheme with
-# locality N is composed and its norm taken, counting the product as
-# 2N * 2**n coefficients, or while a block of products (``product_blocks``)
-# is, counting the block as at least _PRODUCT_BLOCK coefficients.
-# tracemalloc measured about 14 for product_norm of Chaikin's difference
-# rule; 64 keeps a margin of over 4x.
-_PRODUCT_BYTES = 64
 # Peak bytes the search holds per scanned level and per unit of n_max: up
 # to n_max cells of the scan.  tracemalloc measured 115 to 127 for
 # contraction_scan of corner-cutting (N = 2) and 4-point (N = 3) rules at
@@ -107,33 +98,6 @@ def check_budget(need: int, request: str) -> int:
             f"{MEMORY_BUDGET >> 20} MiB memory budget"
         )
     return need
-
-
-def product_bytes(N: int, n: int) -> int:
-    """Peak bytes of a product of n rules of a scheme with locality N."""
-    return _PRODUCT_BYTES * 2 * N << min(n, 64)
-
-
-# Coefficients per block of ``product_blocks``: 1 MiB of rows, whose norms
-# ``masks.class_norms`` takes in one pass over the block.
-_PRODUCT_BLOCK = 2**17
-
-
-def block_bytes(N: int, n: int) -> int:
-    """Peak bytes of a block of ``product_blocks`` for a scheme with
-    locality N: a block holds at most _PRODUCT_BLOCK coefficients, or one
-    product."""
-    return max(_PRODUCT_BYTES * _PRODUCT_BLOCK, product_bytes(N, n))
-
-
-def product_blocks(rules: np.ndarray, n: int):
-    """``masks.product_rows`` of a window of rule rows, yielded block by
-    block of consecutive start levels: each block's rows hold at most
-    _PRODUCT_BLOCK coefficients, and at least one row."""
-    width = (rules.shape[1] - 1) * (2**n - 1) + 1
-    step = max(1, _PRODUCT_BLOCK // width)
-    for a in range(0, len(rules) - n + 1, step):
-        yield product_rows(rules[a : a + step + n - 1], n)
 
 
 def output_span(m: Mask, start: int, stop: int, arity: int = 2) -> tuple[int, int]:
@@ -221,18 +185,10 @@ def residue_class_norm(m: Mask, arity: int) -> float:
     return class_norm(stencil(m), arity)
 
 
-def products(rules: Sequence[tuple[int, Sequence[float]]]):
-    """The stencils of the products of the first 1, 2, ... arity-2 rules,
-    given as stencils, in level order, the first rule acting first, as an
-    iterator: each step composes the next level's rule onto the held
-    product as the outer factor, q(z) * P(z**2)."""
-    return itertools.accumulate(rules, lambda held, rule: compose_coeffs(rule, held, 2))
-
-
 def compose_all(masks: Sequence[Mask]) -> ProductOperator:
     """Compose arity-2 rules; the LAST mask in the list acts first.  Each
     step composes the next rule onto the held product as the outer factor,
-    as ``products`` does."""
+    as ``masks.products`` does."""
     if not masks:
         raise InvalidParameter("empty operator product")
     return functools.reduce(lambda held, rule: compose(rule, held),
@@ -273,7 +229,8 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
     ``mu`` is the maximum norm of the n-fold difference-rule products
     starting at levels K .. K + window, clamped to the levels the scheme
     defines.  A stationary scheme yields one exact cell per n, with K
-    pinned at k0.
+    pinned at k0: it reads its one level, broadcast, as the n rules of one
+    start level.
     """
     if n_max < 1 or window < 1 or K_max < 0:
         raise InvalidParameter("n_max and window must be >= 1, K_max >= 0")
@@ -283,16 +240,10 @@ def _contraction_cells(scheme, n_max: int, K_max: int, window: int):
     check_budget(block_bytes(scheme.N, n_max) + _LEVEL_BYTES * n_max * (last - k0 + 1),
                  f"products of up to {n_max} rules over levels {k0} to {last}")
     rules = scheme.rows(k0, last, rules=True)
-    if scheme.kind == "stationary":
-        q = row_stencils(rules, -scheme.N)[0]
-        for n, p in enumerate(products([q] * n_max), 1):
-            yield n, k0, class_norm(p, 2**n), 1
-        return
-
     for n in range(1, n_max + 1):
-        base, arity = -scheme.N * (2**n - 1), 2**n
-        norms = [norm for rows in product_blocks(rules, n)
-                 for norm in class_norms(rows, base, arity).tolist()]
+        if scheme.kind == "stationary":
+            rules = scheme.rows(k0, k0 + n - 1, rules=True)
+        norms = product_norms(rules, n).tolist()
         for K in range(k0, k0 + K_max + 1):
             cell = norms[K - k0 : K - k0 + window + 1]
             if not cell:

@@ -19,13 +19,11 @@ from .errors import (
     TailNotReached,
 )
 from .masks import (
-    DECAY_MARGIN, ROUND_TOL, TOL, Mask, class_norm, class_norms, coeff_norm,
-    difference_rows, product_rows, row_stencils, rule_failure,
+    DECAY_MARGIN, ROUND_TOL, TOL, Mask, block_bytes, class_norm, class_norms, coeff_norm,
+    difference_rows, product_bytes, product_norms, product_rows, products, row_stencils,
+    rule_failure,
 )
-from .operators import (
-    ContractionWitness, block_bytes, check_budget, condition_a_search, product_blocks,
-    product_bytes, products,
-)
+from .operators import ContractionWitness, check_budget, condition_a_search
 
 # Explicit compositions are kept exact up to this many factors; longer
 # prefixes fall back to a submultiplicative chunked upper bound (the
@@ -512,15 +510,11 @@ def _transfer(
             f"'{sim.similar}', not 'yes'"
         )
 
-    # the comparator's one product, and the target's over blocks of start
-    # levels, as rows from the same index
-    c_rule = _widened(comparator.rows(comparator.k0, comparator.k0, rules=True), N)
-    c = product_rows(np.repeat(c_rule, n, axis=0), n)
-    base, arity = -N * (2**n - 1), 2**n
-    diffs, tnorms = [], []
-    for t in product_blocks(_widened(rules, N), n):
-        diffs += class_norms(t - c, base, arity).tolist()
-        tnorms += class_norms(t, base, arity).tolist()
+    # the comparator's one product, its one level read as n rules, and the
+    # target's products, as rows from the same index
+    c_rules = comparator.rows(comparator.k0, comparator.k0 + n - 1, rules=True)
+    c = product_rows(_widened(c_rules, N), n)
+    tnorms, diffs = map(np.ndarray.tolist, product_norms(_widened(rules, N), n, minus=c))
 
     # the level after the last difference above epsilon
     k_tilde = k_lo + max((i + 1 for i, d in enumerate(diffs) if d > eps), default=0)

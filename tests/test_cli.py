@@ -749,6 +749,29 @@ def test_bad_scheme_exit2(capsys):
     assert run(["analyze", "--scheme", "missing_file.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "certify", "refine", "compare"])
+def test_scheme_locality_and_start_must_be_integers(command, tmp_path, capsys):
+    """A scheme file's N must be a JSON integer of at least 0 and its k0 a
+    JSON integer, a bool being neither; anything else is refused on load
+    with exit 2, where a negative N ended in a traceback (exit 1) and an N
+    of 2.5 was read as 2."""
+    hat = {"base": -1, "coeffs": [0.5, 1.0, 0.5]}
+    path = tmp_path / "scheme.json"
+    comparator = ["--comparator", "linear_bspline"] if command in ("certify", "compare") else []
+    path.write_text(json.dumps({"kind": "stationary", "mask": hat, "N": 1, "k0": 0}))
+    assert run([command, "--scheme", str(path), *comparator]) == 0
+    capsys.readouterr()
+    for scheme in [
+        {"kind": "stationary", "mask": hat, "N": -1},
+        {"kind": "table", "masks": [hat] * 12, "N": -2},
+        *({"kind": "stationary", "mask": hat, "N": bad} for bad in (2.5, 1.0, True, "1")),
+        *({"kind": "table", "masks": [hat] * 12, "k0": bad} for bad in (0.5, 0.0, False, None, "0")),
+    ]:
+        path.write_text(json.dumps(scheme))
+        assert run([command, "--scheme", str(path), *comparator]) == 2, scheme
+        assert "must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k_range", ["5", "5:", "a:b"])
 def test_malformed_k_range_exit2(k_range, capsys):
     with pytest.raises(SystemExit) as exc:

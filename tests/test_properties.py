@@ -50,6 +50,7 @@ from subdiv.operators import (
     apply,
     compose,
     compose_all,
+    contraction_scan,
     product_norm,
     residue_class_norm,
 )
@@ -293,6 +294,18 @@ def test_product_rows_are_runs(rules, n):
     assert product_rows(wide, n)[:, 2**n - 1 : 1 - 2**n].tobytes() == got.tobytes()
     for cut in range(n, len(rules) + 1):
         assert product_rows(rows_in[:cut], n).tobytes() == got[: cut - n + 1].tobytes()
+
+
+@derandomized
+@given(cr_masks())
+def test_stationary_scan_is_folded_self_products(m):
+    """A stationary scheme's scan reads its one level as the n rules of one
+    start level: one cell a product length, at K = 0, whose mu is the
+    loop's class norm of the n-fold self-product of its difference rule,
+    composed by the stencil fold ``runs``, bit for bit."""
+    q = stencil(difference_mask(m))
+    want = [(n, 0, loop_class_norm(Mask(*next(runs([q] * n, n))), 2**n)) for n in range(1, 9)]
+    assert contraction_scan(stationary_scheme(m), n_max=8) == want
 
 
 @derandomized

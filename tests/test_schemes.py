@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subdiv import catalog, operators, refine, schemes
+from subdiv import catalog, masks, operators, refine, schemes
 from subdiv.errors import (
     InvalidParameter,
     NotConstantReproducing,
@@ -707,13 +707,13 @@ def test_c1_prefix_compositions_linear_in_K(monkeypatch):
     K, n = 43, 1  # its certificate's, pinned by test_c1_pinned_bits
     rules = difference_rules(target, K + n - 1)
     calls = []
-    kernel = operators.compose_coeffs
+    kernel = masks.compose_coeffs
 
     def counted(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(operators, "compose_coeffs", counted)
+    monkeypatch.setattr(masks, "compose_coeffs", counted)
     _c1_prefix(rules)
     levels = K + n - 1 - target.k0
     assert len(calls) == levels - math.ceil(levels / _EXACT_PRODUCT_CAP) == 39
